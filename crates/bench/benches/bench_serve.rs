@@ -1,7 +1,7 @@
 //! B8 — server write-path throughput: concurrent sessions streaming
 //! pipelined `INSERT` bursts through the wire protocol into
 //! constraint-guarded tables, with and without WAL durability, across
-//! a worker-count × WAL-shard sweep. Emits `BENCH_serve.json` with the
+//! a worker-count sweep. Emits `BENCH_serve.json` with the
 //! sustained statements/sec of each configuration (plus the `serve.*`
 //! obs counters when built with `--features obs`).
 //!
@@ -15,9 +15,8 @@ use sqlnf_obs::json::JsonValue;
 use sqlnf_serve::{Client, ServeConfig, Server};
 use std::path::PathBuf;
 
-/// Tables the load spreads across — with `--wal-shards > 1` their
-/// hashes land in different shard logs, so the shard sweep exercises
-/// parallel committers instead of one hot file.
+/// Tables the load spreads across, so writers contend on the commit
+/// log rather than on one table lock.
 const TABLES: usize = 4;
 
 /// Statements per pipelined burst.
@@ -45,11 +44,10 @@ fn wal_dir(tag: &str) -> PathBuf {
 /// `stmts_per_client` unique rows into its table (round-robin over
 /// [`TABLES`]) in pipelined bursts; returns when all sessions are done
 /// and the server has shut down.
-fn run_load(clients: usize, stmts_per_client: usize, wal: Option<&PathBuf>, shards: usize) {
+fn run_load(clients: usize, stmts_per_client: usize, wal: Option<&PathBuf>) {
     let config = ServeConfig {
         workers: clients.min(8),
         wal_dir: wal.cloned(),
-        wal_shards: shards,
         ..ServeConfig::default()
     };
     let server = Server::start(config).expect("bind");
@@ -92,22 +90,18 @@ fn run_load(clients: usize, stmts_per_client: usize, wal: Option<&PathBuf>, shar
 }
 
 fn main() {
-    banner("B8 — serve throughput (pipelined wire protocol, worker × WAL-shard sweep)");
-    // (clients, stmts/client, durable, wal shards). Worker count tracks
-    // client count; the shard axis shows whether the committer file
-    // mutex is the bottleneck once group commit amortizes the fsyncs.
-    let mut configs: Vec<(usize, usize, bool, usize)> =
-        vec![(1, 500, false, 1), (4, 500, false, 1)];
-    for &shards in &[1usize, 4] {
-        for &clients in &[1usize, 2, 4, 8] {
-            configs.push((clients, 500, true, shards));
-        }
+    banner("B8 — serve throughput (pipelined wire protocol, worker sweep)");
+    // (clients, stmts/client, durable). Worker count tracks client
+    // count.
+    let mut configs: Vec<(usize, usize, bool)> = vec![(1, 500, false), (4, 500, false)];
+    for &clients in &[1usize, 2, 4, 8] {
+        configs.push((clients, 500, true));
     }
     let mut records = Vec::new();
     let mut rows = Vec::new();
-    for &(clients, per_client, durable, shards) in &configs {
+    for &(clients, per_client, durable) in &configs {
         let id = if durable {
-            format!("serve_{clients}x{per_client}_wal_s{shards}")
+            format!("serve_{clients}x{per_client}_wal")
         } else {
             format!("serve_{clients}x{per_client}")
         };
@@ -117,7 +111,7 @@ fn main() {
             if let Some(d) = &wal {
                 let _ = std::fs::remove_dir_all(d);
             }
-            run_load(clients, per_client, wal.as_ref(), shards);
+            run_load(clients, per_client, wal.as_ref());
         });
         let total = (clients * per_client) as f64;
         let per_sec = total / record.median.as_secs_f64();

@@ -83,14 +83,10 @@ pub fn plan(seed: u64, ops: usize, kill_prob: f64, corrupt_prob: f64) -> FaultPl
     }
 }
 
-/// Applies `c` to *every* shard log of the live generation — the one
-/// named by the snapshot header (generation 0 when no snapshot
-/// exists). Damaging all shards is the honest crash model for a
-/// sharded log: a torn power loss does not pick a favourite file. Each
-/// shard loses its own tail, and recovery's epoch merge then censors
-/// every global epoch past the earliest surviving gap. Missing or
-/// empty logs make the corruption a no-op — the differential check
-/// then simply sees full recovery.
+/// Applies `c` to the log of the live generation — the one named by
+/// the snapshot header (generation 0 when no snapshot exists). A
+/// missing or empty log makes the corruption a no-op — the
+/// differential check then simply sees full recovery.
 pub fn corrupt_wal_dir(dir: &Path, c: Corruption) -> io::Result<()> {
     use sqlnf_serve::wal;
     let generation = match std::fs::read_to_string(dir.join(wal::SNAPSHOT_FILE)) {
@@ -98,38 +94,37 @@ pub fn corrupt_wal_dir(dir: &Path, c: Corruption) -> io::Result<()> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
         Err(e) => return Err(e),
     };
-    for (_, path) in wal::shard_logs(dir, generation)? {
-        let raw = match std::fs::read(&path) {
-            Ok(raw) => raw,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e),
-        };
-        if raw.is_empty() {
-            continue;
+    let path = wal::wal_path(dir, generation);
+    let raw = match std::fs::read(&path) {
+        Ok(raw) => raw,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    if raw.is_empty() {
+        return Ok(());
+    }
+    sqlnf_obs::count!("harness.corruptions");
+    match c {
+        Corruption::TruncateTail(n) => {
+            let keep = raw.len() as u64 - n.min(raw.len() as u64);
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path)?
+                .set_len(keep)?;
         }
-        sqlnf_obs::count!("harness.corruptions");
-        match c {
-            Corruption::TruncateTail(n) => {
-                let keep = raw.len() as u64 - n.min(raw.len() as u64);
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&path)?
-                    .set_len(keep)?;
+        Corruption::SmashLastFrame => {
+            // Canonical statements never contain '#', so the last
+            // '#' in the image is the last frame's marker.
+            if let Some(i) = raw.iter().rposition(|&b| b == b'#') {
+                let mut raw = raw;
+                raw[i] = b'@';
+                std::fs::write(&path, raw)?;
             }
-            Corruption::SmashLastFrame => {
-                // Canonical statements never contain '#', so the last
-                // '#' in the image is the last frame's marker.
-                if let Some(i) = raw.iter().rposition(|&b| b == b'#') {
-                    let mut raw = raw;
-                    raw[i] = b'@';
-                    std::fs::write(&path, raw)?;
-                }
-            }
-            Corruption::AppendGarbage => {
-                use std::io::Write as _;
-                let mut f = std::fs::OpenOptions::new().append(true).open(&path)?;
-                f.write_all(b"#999\nINSERT INTO half_a_frame")?;
-            }
+        }
+        Corruption::AppendGarbage => {
+            use std::io::Write as _;
+            let mut f = std::fs::OpenOptions::new().append(true).open(&path)?;
+            f.write_all(b"#999\nINSERT INTO half_a_frame")?;
         }
     }
     Ok(())
@@ -154,7 +149,7 @@ mod tests {
     }
 
     #[test]
-    fn corruption_damages_every_shard_but_leaves_replayable_prefixes() {
+    fn corruption_leaves_a_replayable_prefix() {
         use sqlnf_serve::wal::{self, Wal};
         let stmts = [
             "CREATE TABLE t (a INT NOT NULL);",
@@ -173,31 +168,26 @@ mod tests {
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            // Two shard logs carrying interleaved global epochs.
-            for shard in 0..2u64 {
-                let mut w = Wal::open(&dir, 0, shard).unwrap();
-                for (i, s) in stmts.iter().enumerate() {
-                    w.append(2 * i as u64 + shard + 1, s).unwrap();
-                }
+            let (mut w, _) = Wal::open(&dir, 0, 1).unwrap();
+            for (i, s) in stmts.iter().enumerate() {
+                w.append(i as u64 + 1, s).unwrap();
             }
+            drop(w);
             corrupt_wal_dir(&dir, c).unwrap();
-            for shard in 0..2u64 {
-                let pristine: Vec<_> = stmts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (2 * i as u64 + shard + 1, s.to_string()))
-                    .collect();
-                let back = wal::replay(&wal::wal_path(&dir, 0, shard)).unwrap();
-                assert!(back.len() <= stmts.len(), "{c:?} shard {shard}");
-                assert_eq!(
-                    back[..],
-                    pristine[..back.len()],
-                    "{c:?} shard {shard} must yield a prefix"
-                );
-                // Every shard took the hit, not just the first.
-                if !matches!(c, Corruption::AppendGarbage) {
-                    assert!(back.len() < stmts.len(), "{c:?} shard {shard} undamaged");
-                }
+            let pristine: Vec<_> = stmts
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (i as u64 + 1, s.to_string()))
+                .collect();
+            let back = wal::replay(&wal::wal_path(&dir, 0)).unwrap();
+            assert!(back.len() <= stmts.len(), "{c:?}");
+            assert_eq!(
+                back[..],
+                pristine[..back.len()],
+                "{c:?} must yield a prefix"
+            );
+            if !matches!(c, Corruption::AppendGarbage) {
+                assert!(back.len() < stmts.len(), "{c:?} left the log undamaged");
             }
             let _ = std::fs::remove_dir_all(&dir);
         }

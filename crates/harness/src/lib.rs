@@ -45,8 +45,8 @@ pub use workload::{generate, Workload};
 
 use sqlnf_model::prelude::{parse_script, Database, Statement};
 use sqlnf_serve::{
-    table_facts_with, Client, ClientError, FsyncMode, ServeConfig, Server, Store, StreamItem,
-    WatchEvent, WATCH_MAX_LHS,
+    table_facts_with, Client, ClientError, ServeConfig, Server, Store, StreamItem, WatchEvent,
+    WATCH_MAX_LHS,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -77,13 +77,8 @@ pub struct HarnessConfig {
     pub kill_prob: f64,
     /// Probability that the plan arms a WAL tail corruption.
     pub corrupt_prob: f64,
-    /// WAL shards of the server under test (corruption damages every
-    /// shard of the live generation).
-    pub wal_shards: usize,
     /// Group-commit linger window, microseconds.
     pub commit_window_us: u64,
-    /// Fsync discipline of the server under test.
-    pub fsync: FsyncMode,
     /// Ride a `WATCH` subscriber and a `MINE`-issuing session along
     /// with the DML clients, then cross-check every streamed FD/key
     /// event against a from-scratch mine of its oplog prefix. Off by
@@ -99,9 +94,7 @@ impl Default for HarnessConfig {
             clients: 4,
             kill_prob: 0.5,
             corrupt_prob: 0.5,
-            wal_shards: 1,
             commit_window_us: 0,
-            fsync: FsyncMode::Batch,
             watch: false,
         }
     }
@@ -390,9 +383,7 @@ pub fn run_one(config: &HarnessConfig) -> Result<RunReport, HarnessFailure> {
         // own or they would starve the DML clients.
         workers: config.clients.max(1) + if config.watch { 2 } else { 0 },
         snapshot_every: plan.snapshot_every,
-        wal_shards: config.wal_shards.max(1),
         commit_window: Duration::from_micros(config.commit_window_us),
-        fsync: config.fsync,
     })
     .map_err(|e| fail(format!("server failed to start: {e}")))?;
     let store = Arc::clone(server.store());
@@ -550,8 +541,9 @@ pub fn run_one(config: &HarnessConfig) -> Result<RunReport, HarnessFailure> {
     // the durable history; without a kill every reply was read, so it
     // matches exactly; and without corruption (which destroys durable
     // frames by design) every acked statement must survive recovery —
-    // acks are watermark-gated, so acked statements always sit inside
-    // the contiguous recovered prefix, never past a censoring gap.
+    // an ack waits for its batch fsync, and batches reach the log in
+    // epoch order, so acked statements always sit inside the
+    // contiguous recovered prefix.
     if acked > oplog.len() {
         return Err(fail(format!(
             "clients counted {acked} acks but the oplog holds only {}",
@@ -737,7 +729,6 @@ mod tests {
             clients: 4,
             kill_prob: 1.0,
             corrupt_prob: 1.0,
-            wal_shards: 4,
             commit_window_us: 200,
             ..HarnessConfig::default()
         };

@@ -1,65 +1,47 @@
-//! Group commit over the sharded WAL.
+//! Group commit over the write-ahead log.
 //!
 //! Writers validate and apply a statement under its table lock, then
 //! [`enqueue`](GroupWal::enqueue) the canonical rendering — which
-//! assigns the frame its global epoch and its position in the shard's
-//! commit sequence — release their locks, and park in
-//! [`wait`](GroupWal::wait) until the shard's durable sequence covers
-//! them. There is no dedicated committer thread: the first waiter to
-//! win the shard's file mutex (a `try_lock` election, same shape as
-//! the snapshot trigger's compare-exchange) drains the queue, writes
-//! every pending frame in one `write`, fsyncs once, advances the
-//! durable sequence, and wakes the others. Losers park on a condvar
-//! with a short timeout so a stalled committer can never strand them:
-//! on every wakeup they re-check durability and re-run the election.
+//! assigns the frame its epoch, the next position in the store's one
+//! commit order — release their locks, and park in
+//! [`wait`](GroupWal::wait) until the durable epoch covers them. There
+//! is no dedicated committer thread: the first waiter to win the file
+//! mutex (a `try_lock` election, same shape as the snapshot trigger's
+//! compare-exchange) drains the queue, writes every pending frame in
+//! one `write`, fsyncs once, advances the durable epoch, and wakes the
+//! others. Losers park on a condvar with a short timeout so a stalled
+//! committer can never strand them: on every wakeup they re-check
+//! durability and re-run the election.
 //!
 //! One fsync therefore covers every statement that queued while the
 //! previous fsync was in flight — the classic group-commit bargain:
 //! per-statement latency is bounded below by one fsync, but fsyncs
 //! per second no longer bound statements per second.
 //!
-//! ## The cross-shard watermark
-//!
-//! Recovery replays the longest *contiguous* epoch run (see
-//! [`wal::merge_by_epoch`]): a gap censors every later epoch on every
-//! shard. Per-shard durability alone would therefore break the ack
-//! contract — shard B could fsync and ack epoch `N+1` while epoch `N`
-//! sat unwritten in shard A's queue, and a crash in that window would
-//! censor the acked frame. So an ack additionally waits for the
-//! **global durable-epoch watermark**: [`wait`](GroupWal::wait)
-//! returns `Ok` only once *every* epoch at or below the ticket's own
-//! is durable, on whichever shard it lives. Each shard publishes the
-//! epoch of its oldest queued-or-in-flight frame
-//! (`Shard::oldest_pending`); the watermark holds for epoch `e` when
-//! no shard's oldest pending frame is `<= e`. A waiter blocked on a
-//! lagging shard *helps*: it runs the committer election on every
-//! shard still holding an earlier epoch, so progress never depends on
-//! the lagging frame's own writer being scheduled.
+//! Epochs are drawn under the queue mutex and batches are drained
+//! under the file mutex, so batches reach the log — and the commit
+//! listener — in epoch order. A batch is durable exactly when every
+//! earlier epoch is, which is what recovery's contiguous replay needs.
 //!
 //! ## Failure contract
 //!
-//! A statement is acknowledged only after its frame is durable
-//! (`--fsync=batch`: covered by the batch fsync; `--fsync=always`:
-//! its own fsync) *and* the watermark covers its epoch. If the batch
-//! write or fsync fails, the committer rolls the file back to the
-//! batch's start, latches the shard *failed* at the first non-durable
-//! sequence, and records the batch's first epoch as the store-wide
-//! *failed floor*: the lost epochs make a permanent gap, recovery
-//! will censor everything past it, so every waiter whose epoch is at
-//! or past the floor — on any shard, durable or not — plus every
-//! later enqueue attempt gets an error instead of an ack. The
-//! in-memory table state of the failed statements is not rolled back
-//! (their locks are long gone); a store that lost a batch is degraded
-//! and should be restarted, which replays exactly the durable,
-//! ack-consistent prefix.
+//! A statement is acknowledged only after the batch fsync covering its
+//! frame succeeded. If the batch write or fsync fails, the committer
+//! rolls the file back to the batch's start and latches the log
+//! *failed* at the batch's first epoch: every waiter at or past that
+//! epoch, plus every later enqueue attempt, gets an error instead of an
+//! ack. The in-memory table state of the failed statements is not
+//! rolled back (their locks are long gone); a store that lost a batch
+//! is degraded and should be restarted, which replays exactly the
+//! durable, acknowledged prefix.
 
 use crate::metrics::{self, Stage};
-use crate::wal::{self, Wal};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use crate::wal::Wal;
+use crate::watch::HubMsg;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::Duration;
 
@@ -67,373 +49,180 @@ use std::time::Duration;
 /// durability and re-running the election.
 const PARK: Duration = Duration::from_millis(1);
 
-/// When a statement's frame is forced to stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncMode {
-    /// Every frame gets its own fsync before its writer is acked —
-    /// the pre-group-commit discipline, kept for comparison and for
-    /// the paranoid.
-    Always,
-    /// One fsync per commit batch (the default): every waiter in the
-    /// batch is acked by the same fsync. Identical durability at the
-    /// ack boundary; strictly fewer fsyncs.
-    #[default]
-    Batch,
-}
-
-impl std::str::FromStr for FsyncMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<FsyncMode, String> {
-        match s {
-            "always" => Ok(FsyncMode::Always),
-            "batch" => Ok(FsyncMode::Batch),
-            other => Err(format!("unknown fsync mode {other:?} (always|batch)")),
-        }
-    }
-}
-
-impl std::fmt::Display for FsyncMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FsyncMode::Always => "always",
-            FsyncMode::Batch => "batch",
-        })
-    }
-}
-
-/// A claim on durability: the shard, per-shard commit sequence, and
-/// global epoch assigned to one enqueued frame. Redeemed by
-/// [`GroupWal::wait`].
+/// A claim on durability: the epoch assigned to one enqueued frame.
+/// Redeemed by [`GroupWal::wait`].
 #[derive(Debug, Clone, Copy)]
 pub struct Ticket {
-    shard: usize,
-    seq: u64,
     epoch: u64,
 }
 
-/// Frames admitted but not yet written, plus the sequence counter that
-/// names the next one.
+/// Frames admitted but not yet written, plus the epoch the next one
+/// will carry.
 #[derive(Debug)]
-struct ShardQueue {
+struct Queue {
     pending: Vec<(u64, String)>,
-    next_seq: u64,
-    /// First epoch of the batch a committer has drained but not yet
-    /// made durable (`None` outside a commit). Keeps
-    /// `Shard::oldest_pending` honest while frames are in flight.
-    in_flight_front: Option<u64>,
+    next_epoch: u64,
 }
 
-/// One log shard: its queue, its file, and its durability horizon.
+/// The store's durability plane: one queue, one log file, one durable
+/// epoch, one latched failure.
 #[derive(Debug)]
-struct Shard {
-    /// Tier 5: admitted-but-unwritten frames.
-    queue: Mutex<ShardQueue>,
-    /// Tier 4: the shard's log file; holding it *is* being the
-    /// committer (`None` when the store is ephemeral).
+pub struct GroupWal {
+    /// Lock tier 5: admitted-but-unwritten frames.
+    queue: Mutex<Queue>,
+    /// Lock tier 4: the log file; holding it *is* being the committer
+    /// (`None` when the store is ephemeral).
     file: Mutex<Option<Wal>>,
-    /// Highest commit sequence known durable.
+    /// Highest epoch known durable.
     durable: AtomicU64,
-    /// Lowest commit sequence that failed to commit (`u64::MAX` =
-    /// healthy). Latched once, never reset: a shard that lost a batch
-    /// refuses all further work.
+    /// First epoch lost to a failed batch (`u64::MAX` = healthy).
+    /// Latched once, never reset: a log that lost a batch refuses all
+    /// further work.
     failed: AtomicU64,
-    /// Epoch of this shard's oldest queued-or-in-flight frame
-    /// (`u64::MAX` when the shard is fully durable) — the shard's
-    /// contribution to the cross-shard ack watermark. Written only
-    /// under the queue mutex; read lock-free by
-    /// [`GroupWal::durable_through`].
-    oldest_pending: AtomicU64,
+    /// How long an elected committer lingers before draining, letting
+    /// more writers join its batch (0 = drain immediately).
+    window: Duration,
+    /// Test hook: when enabled, every committed frame's payload is
+    /// recorded here at commit time — the oplog is exactly the durable
+    /// history, which is what the harness diffs recovery against.
+    oplog: Mutex<Option<Vec<String>>>,
+    /// Test hook: the next batch fails between `write` and `fsync`.
+    fsync_fault: AtomicBool,
+    /// Commit-time listener (the store's WATCH hub): every batch that
+    /// becomes durable is forwarded as `(epoch, payload)` frames, in
+    /// epoch order. Failed batches are never sent, and nothing after
+    /// one is.
+    listener: Mutex<Option<Sender<HubMsg>>>,
     /// Parking lot for election losers.
     gate: Mutex<()>,
     cv: Condvar,
 }
 
-impl Shard {
-    fn new(file: Option<Wal>) -> Shard {
-        Shard {
-            queue: Mutex::new(ShardQueue {
+impl GroupWal {
+    fn with_file(file: Option<Wal>, next_epoch: u64, window: Duration) -> GroupWal {
+        GroupWal {
+            queue: Mutex::new(Queue {
                 pending: Vec::new(),
-                next_seq: 1,
-                in_flight_front: None,
+                next_epoch,
             }),
             file: Mutex::new(file),
-            durable: AtomicU64::new(0),
+            durable: AtomicU64::new(next_epoch - 1),
             failed: AtomicU64::new(u64::MAX),
-            oldest_pending: AtomicU64::new(u64::MAX),
+            window,
+            oplog: Mutex::new(None),
+            fsync_fault: AtomicBool::new(false),
+            listener: Mutex::new(None),
             gate: Mutex::new(()),
             cv: Condvar::new(),
         }
     }
-}
 
-/// `fsync_fault` value meaning "no fault armed".
-const FAULT_NONE: u64 = u64::MAX;
-
-/// `fsync_fault` value meaning "fail the next batch on any shard".
-const FAULT_ANY: u64 = u64::MAX - 1;
-
-/// The store's durability plane: every shard plus the global epoch
-/// counter whose values stitch the shards back into one history.
-#[derive(Debug)]
-pub struct GroupWal {
-    shards: Vec<Shard>,
-    /// Next epoch to assign (epochs start at 1; assignment happens
-    /// under the shard queue lock, itself under the statement's table
-    /// lock, so epoch order is consistent with application order).
-    epoch: AtomicU64,
-    /// How long an elected committer lingers before draining, letting
-    /// more writers join its batch (0 = drain immediately).
-    window: Duration,
-    mode: FsyncMode,
-    /// Lowest epoch ever lost to a failed batch (`u64::MAX` =
-    /// healthy). Latched, never reset: recovery censors every epoch
-    /// past the loss, so no statement at or past it may ever ack.
-    failed_floor: AtomicU64,
-    /// Test hook: when enabled, every committed frame's
-    /// `(epoch, payload)` is recorded here at commit time — the oplog
-    /// is exactly the durable history, which is what the harness
-    /// diffs recovery against.
-    oplog: Mutex<Option<Vec<(u64, String)>>>,
-    /// Test hook: shard whose next batch fails between `write` and
-    /// `fsync` ([`FAULT_ANY`] = whichever commits first,
-    /// [`FAULT_NONE`] = disarmed).
-    fsync_fault: AtomicU64,
-    /// Commit-time listener (the store's WATCH hub): every batch that
-    /// becomes durable on its shard is forwarded as `(epoch, payload)`
-    /// frames. Failed batches are never sent, so a listener that
-    /// releases epochs contiguously observes exactly the cross-shard
-    /// durable watermark.
-    listener: Mutex<Option<std::sync::mpsc::Sender<crate::watch::HubMsg>>>,
-}
-
-impl GroupWal {
-    /// A durability plane with no backing files (ephemeral store):
-    /// commit still assigns epochs, advances durable sequences, and
+    /// A durability plane with no backing file (ephemeral store):
+    /// commit still assigns epochs, advances the durable epoch, and
     /// feeds the oplog, it just performs no I/O.
-    pub fn ephemeral(shards: usize, window: Duration, mode: FsyncMode) -> GroupWal {
-        GroupWal {
-            shards: (0..shards.max(1)).map(|_| Shard::new(None)).collect(),
-            epoch: AtomicU64::new(1),
-            window,
-            mode,
-            failed_floor: AtomicU64::new(u64::MAX),
-            oplog: Mutex::new(None),
-            fsync_fault: AtomicU64::new(FAULT_NONE),
-            listener: Mutex::new(None),
-        }
+    pub fn ephemeral(window: Duration) -> GroupWal {
+        GroupWal::with_file(None, 1, window)
     }
 
-    /// Opens `generation`'s shard logs inside `dir` and reconstructs
-    /// the replayable history: every shard present on disk is read
-    /// (regardless of the configured shard count, so restarts may
-    /// change `--wal-shards` freely), the frames are merged by epoch,
-    /// and the longest contiguous run from `epoch_base` is returned as
-    /// the statements to replay. Every shard is then physically
-    /// truncated past the run's last epoch — frames beyond a gap were
-    /// never acknowledged and must not collide with the resumed epoch
-    /// counter.
+    /// Opens `generation`'s log inside `dir` and returns the plane with
+    /// the statements to replay: the log's contiguous epoch run from
+    /// `epoch_base` (see [`Wal::open`], which truncates whatever
+    /// follows it).
     pub fn recover(
         dir: &Path,
         generation: u64,
         epoch_base: u64,
-        shards: usize,
         window: Duration,
-        mode: FsyncMode,
     ) -> io::Result<(GroupWal, Vec<String>)> {
-        let shards = shards.max(1);
-        let discovered = wal::shard_logs(dir, generation)?;
-        let mut per_shard = Vec::with_capacity(discovered.len());
-        for (_, path) in &discovered {
-            per_shard.push(wal::replay(path)?);
-        }
-        let (run, last) = wal::merge_by_epoch(per_shard, epoch_base);
-        // Truncate-and-open the configured shards (creating missing
-        // ones), and truncate any extra on-disk shard from a run with
-        // a higher --wal-shards.
-        let mut files = Vec::with_capacity(shards);
-        for s in 0..shards as u64 {
-            files.push(Shard::new(Some(Wal::open_capped(
-                dir,
-                generation,
-                s,
-                Some(last),
-            )?)));
-        }
-        for (id, _) in &discovered {
-            if *id >= shards as u64 {
-                drop(Wal::open_capped(dir, generation, *id, Some(last))?);
-            }
-        }
-        let wal = GroupWal {
-            shards: files,
-            epoch: AtomicU64::new(last.max(epoch_base.saturating_sub(1)) + 1),
-            window,
-            mode,
-            failed_floor: AtomicU64::new(u64::MAX),
-            oplog: Mutex::new(None),
-            fsync_fault: AtomicU64::new(FAULT_NONE),
-            listener: Mutex::new(None),
-        };
-        Ok((wal, run))
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard `table`'s frames commit on.
-    pub(crate) fn shard_for(&self, table: &str) -> usize {
-        let mut h = DefaultHasher::new();
-        table.hash(&mut h);
-        (h.finish() % self.shards.len() as u64) as usize
+        let epoch_base = epoch_base.max(1);
+        let (wal, replayed) = Wal::open(dir, generation, epoch_base)?;
+        let next = epoch_base + replayed.len() as u64;
+        Ok((GroupWal::with_file(Some(wal), next, window), replayed))
     }
 
     /// The epoch the next enqueued frame will carry. Only meaningful
     /// while no writer is active (the snapshotter calls this with
     /// every table lock held).
     pub fn epoch_next(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        self.queue.lock().unwrap().next_epoch
     }
 
     /// Install the commit-time listener (the store's WATCH hub). Set
     /// once at store construction, before any writer runs.
-    pub(crate) fn set_listener(&self, tx: std::sync::mpsc::Sender<crate::watch::HubMsg>) {
+    pub(crate) fn set_listener(&self, tx: Sender<HubMsg>) {
         *self.listener.lock().unwrap() = Some(tx);
     }
 
-    /// Assigns `payload` its epoch and its place in its shard's commit
-    /// queue. Must be called while still holding the statement's table
-    /// (or registry) write lock, so epoch order agrees with
-    /// application order. Fails — without enqueuing — if any shard has
-    /// already lost a batch (the new frame's epoch would sit past the
-    /// failed floor and could never ack); the caller still holds its
-    /// lock and can roll the statement back.
-    pub fn enqueue(&self, table: &str, payload: String) -> io::Result<Ticket> {
-        let idx = self.shard_for(table);
-        let shard = &self.shards[idx];
-        if shard.failed.load(Ordering::Acquire) != u64::MAX
-            || self.failed_floor.load(Ordering::Acquire) != u64::MAX
-        {
-            return Err(io::Error::other("WAL shard failed; statement refused"));
+    /// Assigns `payload` its epoch and queues it for commit. Must be
+    /// called while still holding the statement's table (or registry)
+    /// write lock, so epoch order agrees with application order. Fails
+    /// — without enqueuing — once a batch was lost (the new frame could
+    /// never ack); the caller still holds its lock and can roll the
+    /// statement back.
+    pub fn enqueue(&self, payload: String) -> io::Result<Ticket> {
+        if self.failed.load(Ordering::Acquire) != u64::MAX {
+            return Err(io::Error::other("WAL failed; statement refused"));
         }
         let mut q = {
             let _wait = sqlnf_obs::span!("serve.lock_wait.wal");
-            metrics::timed(Stage::LockWal, || shard.queue.lock().unwrap())
+            metrics::timed(Stage::LockWal, || self.queue.lock().unwrap())
         };
-        if q.in_flight_front.is_none() && q.pending.is_empty() {
-            // Publish a floor *before* drawing the epoch: the drawn
-            // value will be >= the counter read here, and every
-            // already-assigned epoch is below it, so a concurrent
-            // watermark scan can never observe this shard idle while
-            // the new frame's epoch is assigned but not yet visible.
-            shard
-                .oldest_pending
-                .store(self.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
-        }
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
-        let seq = q.next_seq;
-        q.next_seq += 1;
+        let epoch = q.next_epoch;
+        q.next_epoch += 1;
         q.pending.push((epoch, payload));
-        if q.in_flight_front.is_none() && q.pending.len() == 1 {
-            shard.oldest_pending.store(epoch, Ordering::SeqCst);
+        Ok(Ticket { epoch })
+    }
+
+    /// Whether the ticket is settled: `Some(Ok)` once its frame is
+    /// durable, `Some(Err)` once it can never be (its batch, or an
+    /// earlier one, was lost), `None` while it is still pending.
+    fn settled(&self, t: Ticket) -> Option<io::Result<()>> {
+        if self.failed.load(Ordering::Acquire) <= t.epoch {
+            Some(Err(io::Error::other(
+                "group commit failed; statement not durable",
+            )))
+        } else if self.durable.load(Ordering::Acquire) >= t.epoch {
+            Some(Ok(()))
+        } else {
+            None
         }
-        Ok(Ticket {
-            shard: idx,
-            seq,
-            epoch,
-        })
     }
 
-    /// Whether every epoch up to and including `epoch` is durable: no
-    /// shard still holds — queued or in flight — a frame at or below
-    /// it. This is the ack watermark: recovery replays the contiguous
-    /// epoch prefix, so an ack must cover its whole epoch prefix, not
-    /// just its own shard's fsync.
-    fn durable_through(&self, epoch: u64) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.oldest_pending.load(Ordering::SeqCst) > epoch)
-    }
-
-    /// Parks until the ticket's frame — and every earlier epoch on
-    /// every shard — is durable (ack), or until the frame can never
-    /// legally ack (error): its own shard failed, or an earlier batch
-    /// was lost anywhere, leaving a gap recovery would censor this
-    /// frame behind. The caller must hold no locks: the waiter may be
-    /// elected committer — of its own shard or of any lagging one —
-    /// and perform the batch I/O itself.
+    /// Parks until the ticket's frame is durable (ack), or until it can
+    /// never be (error). The caller must hold no locks: the waiter may
+    /// be elected committer and perform the batch I/O itself.
     pub fn wait(&self, t: Ticket) -> io::Result<()> {
-        let shard = &self.shards[t.shard];
         loop {
-            if shard.failed.load(Ordering::Acquire) <= t.seq {
-                return Err(io::Error::other(
-                    "group commit failed; statement not durable",
-                ));
+            if let Some(outcome) = self.settled(t) {
+                return outcome;
             }
-            if self.failed_floor.load(Ordering::Acquire) <= t.epoch {
-                return Err(io::Error::other(
-                    "an earlier commit batch was lost; statement not durable",
-                ));
-            }
-            if shard.durable.load(Ordering::Acquire) >= t.seq && self.durable_through(t.epoch) {
-                return Ok(());
-            }
-            // Election, with help: run the committer protocol on every
-            // shard still holding a frame at or before our epoch (our
-            // own included), so the watermark advances even if the
-            // lagging frames' writers are not scheduled. Only the own
-            // shard lingers — help-commits flush old frames, they
-            // should not grow batches.
-            let mut helped = false;
-            for (i, s) in self.shards.iter().enumerate() {
-                if s.oldest_pending.load(Ordering::SeqCst) > t.epoch {
-                    continue;
-                }
-                if let Some(mut file) = try_lock(&s.file) {
-                    self.commit_locked(i, &mut file, i == t.shard);
-                    helped = true;
-                }
-            }
-            if helped {
+            if let Some(mut file) = try_lock(&self.file) {
+                self.commit_locked(&mut file, true);
                 continue;
             }
-            // Every election lost: park until a committer wakes us (or
-            // the timeout re-runs the election, so a stalled committer
-            // — or progress on another shard's condvar — can never
-            // strand us).
-            let gate = shard.gate.lock().unwrap();
-            if (shard.durable.load(Ordering::Acquire) >= t.seq && self.durable_through(t.epoch))
-                || shard.failed.load(Ordering::Acquire) <= t.seq
-                || self.failed_floor.load(Ordering::Acquire) <= t.epoch
-            {
+            // Election lost: park until the committer wakes us (or the
+            // timeout re-runs the election, so a stalled committer can
+            // never strand us).
+            let gate = self.gate.lock().unwrap();
+            if self.settled(t).is_some() {
                 continue;
             }
-            let _ = shard.cv.wait_timeout(gate, PARK).unwrap();
+            let _ = self.cv.wait_timeout(gate, PARK).unwrap();
             sqlnf_obs::count!("serve.commit.wakeups");
         }
     }
 
-    /// The committer's critical section: drain the shard's queue and
-    /// make the batch durable. Caller holds the shard's file mutex.
-    /// `linger` applies the commit window (disabled on the quiescent
-    /// snapshot drain path).
-    fn commit_locked(&self, idx: usize, file: &mut Option<Wal>, linger: bool) {
-        let shard = &self.shards[idx];
-        if shard.failed.load(Ordering::Acquire) != u64::MAX {
-            // The shard already lost a batch: drain so waiters see
-            // `failed` instead of queue growth, but perform no I/O.
-            // The dropped frames all sit at or past the failed floor
-            // (per-shard epochs are monotone), so retiring them from
-            // the watermark cannot release an ack that should block.
-            let dropped = {
-                let mut q = shard.queue.lock().unwrap();
-                q.in_flight_front = None;
-                shard.oldest_pending.store(u64::MAX, Ordering::SeqCst);
-                std::mem::take(&mut q.pending)
-            };
+    /// The committer's critical section: drain the queue and make the
+    /// batch durable. Caller holds the file mutex. `linger` applies the
+    /// commit window (disabled on the quiescent snapshot drain path).
+    fn commit_locked(&self, file: &mut Option<Wal>, linger: bool) {
+        if self.failed.load(Ordering::Acquire) != u64::MAX {
+            // A batch was already lost: drop what queued behind it so
+            // waiters see `failed` instead of queue growth, but perform
+            // no I/O. Every dropped frame sits past the failed epoch.
+            let dropped = std::mem::take(&mut self.queue.lock().unwrap().pending);
             if !dropped.is_empty() {
-                wake(shard);
+                self.wake();
             }
             return;
         }
@@ -442,154 +231,82 @@ impl GroupWal {
             // enqueue (the queue mutex is free) and join this batch.
             std::thread::sleep(self.window);
         }
-        let batch = {
-            let mut q = shard.queue.lock().unwrap();
-            let batch = std::mem::take(&mut q.pending);
-            if let Some(&(front, _)) = batch.first() {
-                // The frames leave the queue but are not durable yet:
-                // keep them visible to the watermark until the fsync
-                // lands.
-                q.in_flight_front = Some(front);
-            }
-            batch
-        };
-        if batch.is_empty() {
+        let batch = std::mem::take(&mut self.queue.lock().unwrap().pending);
+        let (Some(&(first, _)), Some(&(last, _))) = (batch.first(), batch.last()) else {
             return;
-        }
-        let n = batch.len() as u64;
+        };
         let rollback = file.as_ref().map(|w| (w.bytes(), w.records()));
         let res = match file.as_mut() {
-            Some(wal) => self.write_batch(idx, wal, &batch),
+            Some(wal) => self.write_batch(wal, &batch),
             None => Ok(()),
         };
         match res {
             Ok(()) => {
+                let n = batch.len() as u64;
                 if let Some(log) = self.oplog.lock().unwrap().as_mut() {
-                    log.extend(batch.iter().cloned());
+                    log.extend(batch.iter().map(|(_, payload)| payload.clone()));
                 }
-                // Frames are durable on this shard from here on:
-                // notify the WATCH hub. The hub's contiguous-epoch
-                // release turns per-shard durability into the
-                // cross-shard watermark.
+                // Durable from here on: notify the WATCH hub. Sent under
+                // the file mutex, so batches arrive in epoch order.
                 if let Some(tx) = self.listener.lock().unwrap().as_ref() {
-                    let _ = tx.send(crate::watch::HubMsg::Batch(batch.clone()));
+                    let _ = tx.send(HubMsg::Batch(batch));
                 }
-                shard.durable.fetch_add(n, Ordering::Release);
-                {
-                    // Retire the batch from the watermark only after
-                    // the durable sequence advanced, under the queue
-                    // lock so the published epoch can only grow.
-                    let mut q = shard.queue.lock().unwrap();
-                    q.in_flight_front = None;
-                    let next = q.pending.first().map_or(u64::MAX, |&(e, _)| e);
-                    shard.oldest_pending.store(next, Ordering::SeqCst);
-                }
+                self.durable.store(last, Ordering::Release);
                 sqlnf_obs::count!("serve.commit.batches");
                 sqlnf_obs::count!("serve.commit.frames", n);
                 sqlnf_obs::record!("serve.commit.batch_size", n);
             }
             Err(_) => {
                 // Never acked: erase the batch so recovery cannot
-                // replay frames their writers saw fail, latch the
-                // shard failed from the first non-durable sequence on,
-                // and sink the store-wide floor to the batch's first
-                // epoch — the lost epochs are a permanent gap, so
-                // nothing at or past them may ever ack, on any shard.
+                // replay frames their writers saw fail, and latch the
+                // log failed from the batch's first epoch on.
                 if let (Some(wal), Some((bytes, records))) = (file.as_mut(), rollback) {
                     let _ = wal.truncate_to(bytes, records);
                 }
-                let first_bad = shard.durable.load(Ordering::Acquire) + 1;
-                shard.failed.store(first_bad, Ordering::Release);
-                self.failed_floor.fetch_min(batch[0].0, Ordering::AcqRel);
-                let mut q = shard.queue.lock().unwrap();
-                q.in_flight_front = None;
-                shard.oldest_pending.store(u64::MAX, Ordering::SeqCst);
-                drop(q);
+                self.failed.store(first, Ordering::Release);
             }
         }
-        wake(shard);
+        self.wake();
     }
 
-    /// Writes one drained batch under the configured fsync discipline.
-    fn write_batch(&self, idx: usize, wal: &mut Wal, batch: &[(u64, String)]) -> io::Result<()> {
-        match self.mode {
-            FsyncMode::Batch => {
-                {
-                    let _span = sqlnf_obs::span!("serve.wal.append");
-                    metrics::timed(Stage::WalAppend, || wal.append_batch(batch))?;
-                }
-                if self.take_fault(idx) {
-                    return Err(io::Error::other("injected fsync fault"));
-                }
-                metrics::timed(Stage::WalFsync, || wal.sync())
-            }
-            FsyncMode::Always => {
-                for frame in batch {
-                    {
-                        let _span = sqlnf_obs::span!("serve.wal.append");
-                        metrics::timed(Stage::WalAppend, || {
-                            wal.append_batch(std::slice::from_ref(frame))
-                        })?;
-                    }
-                    if self.take_fault(idx) {
-                        return Err(io::Error::other("injected fsync fault"));
-                    }
-                    metrics::timed(Stage::WalFsync, || wal.sync())?;
-                }
-                Ok(())
-            }
+    /// Writes one drained batch and fsyncs it once.
+    fn write_batch(&self, wal: &mut Wal, batch: &[(u64, String)]) -> io::Result<()> {
+        {
+            let _span = sqlnf_obs::span!("serve.wal.append");
+            metrics::timed(Stage::WalAppend, || wal.append_batch(batch))?;
         }
-    }
-
-    /// Consumes an armed fsync fault if it targets shard `idx` (or any
-    /// shard). Compare-exchange so concurrent committers fire it once.
-    fn take_fault(&self, idx: usize) -> bool {
-        let armed = self.fsync_fault.load(Ordering::SeqCst);
-        if armed == FAULT_ANY || armed == idx as u64 {
-            self.fsync_fault
-                .compare_exchange(armed, FAULT_NONE, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        } else {
-            false
+        if self.fsync_fault.swap(false, Ordering::SeqCst) {
+            return Err(io::Error::other("injected fsync fault"));
         }
+        metrics::timed(Stage::WalFsync, || wal.sync())
     }
 
-    /// Locks every shard file in shard order (tier 4; the snapshot
-    /// path holds all of them across the generation switch).
-    pub fn lock_files(&self) -> Vec<MutexGuard<'_, Option<Wal>>> {
-        self.shards.iter().map(|s| s.file.lock().unwrap()).collect()
+    /// Locks the log file (tier 4; the snapshot path holds it across
+    /// the generation switch).
+    pub fn lock_file(&self) -> MutexGuard<'_, Option<Wal>> {
+        self.file.lock().unwrap()
     }
 
-    /// Drains every shard into its (old-generation) log — used by the
+    /// Drains the queue into the (old-generation) log — used by the
     /// snapshotter, which at this point holds every table lock, so the
-    /// queues are quiescent afterwards.
-    pub fn drain_all(&self, files: &mut [MutexGuard<'_, Option<Wal>>]) {
-        for (i, f) in files.iter_mut().enumerate() {
-            self.commit_locked(i, f, false);
-        }
+    /// queue is quiescent afterwards.
+    pub fn drain(&self, file: &mut Option<Wal>) {
+        self.commit_locked(file, false);
     }
 
-    /// Fsyncs every shard file (graceful shutdown path).
-    pub fn sync_all(&self) -> io::Result<()> {
-        for shard in &self.shards {
-            if let Some(wal) = shard.file.lock().unwrap().as_mut() {
-                metrics::timed(Stage::WalFsync, || wal.sync())?;
-            }
+    /// Fsyncs the log file (graceful shutdown path).
+    pub fn sync(&self) -> io::Result<()> {
+        if let Some(wal) = self.lock_file().as_mut() {
+            metrics::timed(Stage::WalFsync, || wal.sync())?;
         }
         Ok(())
     }
 
-    /// `(bytes, records)` across all shard logs.
+    /// `(bytes, records)` of the live log.
     pub fn size(&self) -> (u64, u64) {
-        let mut bytes = 0;
-        let mut records = 0;
-        for shard in &self.shards {
-            if let Some(wal) = shard.file.lock().unwrap().as_ref() {
-                bytes += wal.bytes();
-                records += wal.records();
-            }
-        }
-        (bytes, records)
+        self.lock_file()
+            .as_ref()
+            .map_or((0, 0), |wal| (wal.bytes(), wal.records()))
     }
 
     /// Test hook: start recording committed frames.
@@ -597,43 +314,29 @@ impl GroupWal {
         *self.oplog.lock().unwrap() = Some(Vec::new());
     }
 
-    /// Test hook: the committed history so far, in epoch order. The
-    /// per-shard commit order interleaves across shards, so the
-    /// recorded frames are sorted by their epochs — the single global
-    /// order recovery reproduces.
+    /// Test hook: the committed history so far, in epoch order.
     pub fn oplog(&self) -> Vec<String> {
-        let mut entries = self.oplog.lock().unwrap().clone().unwrap_or_default();
-        entries.sort_by_key(|(epoch, _)| *epoch);
-        entries.into_iter().map(|(_, payload)| payload).collect()
+        self.oplog.lock().unwrap().clone().unwrap_or_default()
     }
 
-    /// Test hook: make the next commit batch — on whichever shard
-    /// commits first — fail between its `write` and its `fsync`, the
-    /// crash window group commit must never ack across.
+    /// Test hook: make the next commit batch fail between its `write`
+    /// and its `fsync`, the crash window group commit must never ack
+    /// across.
     pub fn inject_fsync_fault_once(&self) {
-        self.fsync_fault.store(FAULT_ANY, Ordering::SeqCst);
+        self.fsync_fault.store(true, Ordering::SeqCst);
     }
 
-    /// Test hook: like [`inject_fsync_fault_once`], but only shard
-    /// `shard`'s next batch fails — other shards commit normally, so
-    /// tests can build deterministic partial-failure interleavings.
-    ///
-    /// [`inject_fsync_fault_once`]: GroupWal::inject_fsync_fault_once
-    pub fn inject_fsync_fault_on(&self, shard: usize) {
-        self.fsync_fault.store(shard as u64, Ordering::SeqCst);
+    /// Wakes parked waiters (taking the gate briefly first, so a waiter
+    /// that just checked the horizon but has not parked yet cannot miss
+    /// the notification).
+    fn wake(&self) {
+        drop(self.gate.lock().unwrap());
+        self.cv.notify_all();
     }
-}
-
-/// Wakes a shard's parked waiters (taking the gate briefly first, so a
-/// waiter that just checked the horizon but has not parked yet cannot
-/// miss the notification).
-fn wake(shard: &Shard) {
-    drop(shard.gate.lock().unwrap());
-    shard.cv.notify_all();
 }
 
 /// `try_lock` that treats a poisoned mutex as acquired (the poisoner
-/// panicked mid-commit; the shard will latch failed rather than wedge).
+/// panicked mid-commit; the log will latch failed rather than wedge).
 fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
     match m.try_lock() {
         Ok(g) => Some(g),
@@ -658,19 +361,17 @@ mod tests {
     #[test]
     fn enqueue_wait_commits_and_acks() {
         let dir = tmp_dir("ack");
-        let (gw, replayed) =
-            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch).unwrap();
+        let (gw, replayed) = GroupWal::recover(&dir, 0, 1, Duration::ZERO).unwrap();
         assert!(replayed.is_empty());
         gw.enable_oplog();
-        let t1 = gw.enqueue("a", "S1".into()).unwrap();
-        let t2 = gw.enqueue("b", "S2".into()).unwrap();
+        let t1 = gw.enqueue("S1".into()).unwrap();
+        let t2 = gw.enqueue("S2".into()).unwrap();
         gw.wait(t1).unwrap();
         gw.wait(t2).unwrap();
         assert_eq!(gw.oplog(), vec!["S1".to_owned(), "S2".to_owned()]);
         // Everything written is replayable in epoch order.
         drop(gw);
-        let (gw2, replayed) =
-            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch).unwrap();
+        let (gw2, replayed) = GroupWal::recover(&dir, 0, 1, Duration::ZERO).unwrap();
         assert_eq!(replayed, vec!["S1".to_owned(), "S2".to_owned()]);
         assert_eq!(gw2.epoch_next(), 3);
         let _ = std::fs::remove_dir_all(&dir);
@@ -679,14 +380,14 @@ mod tests {
     #[test]
     fn many_writers_share_fsyncs() {
         let dir = tmp_dir("shared");
-        let (gw, _) = GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Batch).unwrap();
+        let (gw, _) = GroupWal::recover(&dir, 0, 1, Duration::ZERO).unwrap();
         let gw = Arc::new(gw);
         let handles: Vec<_> = (0..4)
             .map(|k| {
                 let gw = Arc::clone(&gw);
                 std::thread::spawn(move || {
                     for i in 0..25 {
-                        let t = gw.enqueue("t", format!("S{k}_{i}")).unwrap();
+                        let t = gw.enqueue(format!("S{k}_{i}")).unwrap();
                         gw.wait(t).unwrap();
                     }
                 })
@@ -702,125 +403,31 @@ mod tests {
     #[test]
     fn fsync_fault_fails_waiters_and_erases_the_batch() {
         let dir = tmp_dir("fault");
-        let (gw, _) = GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Batch).unwrap();
+        let (gw, _) = GroupWal::recover(&dir, 0, 1, Duration::ZERO).unwrap();
         gw.enable_oplog();
-        let t_ok = gw.enqueue("t", "GOOD".into()).unwrap();
+        let t_ok = gw.enqueue("GOOD".into()).unwrap();
         gw.wait(t_ok).unwrap();
         gw.inject_fsync_fault_once();
-        let t_bad = gw.enqueue("t", "BAD".into()).unwrap();
+        let t_bad = gw.enqueue("BAD".into()).unwrap();
         assert!(gw.wait(t_bad).is_err(), "undurable waiter must not ack");
         assert_eq!(gw.oplog(), vec!["GOOD".to_owned()]);
         // The failed frame was erased: only the durable prefix replays.
         assert_eq!(gw.size().1, 1);
-        // The shard is latched failed: further work is refused upfront.
-        assert!(gw.enqueue("t", "LATER".into()).is_err());
+        // The log is latched failed: further work is refused upfront.
+        assert!(gw.enqueue("LATER".into()).is_err());
         drop(gw);
-        let (_, replayed) =
-            GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Batch).unwrap();
+        let (_, replayed) = GroupWal::recover(&dir, 0, 1, Duration::ZERO).unwrap();
         assert_eq!(replayed, vec!["GOOD".to_owned()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn always_mode_syncs_each_frame() {
-        let dir = tmp_dir("always");
-        let (gw, _) = GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Always).unwrap();
-        let t1 = gw.enqueue("t", "A".into()).unwrap();
-        let t2 = gw.enqueue("t", "B".into()).unwrap();
-        gw.wait(t1).unwrap();
-        gw.wait(t2).unwrap();
-        assert_eq!(gw.size().1, 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn ephemeral_commits_without_io() {
-        let gw = GroupWal::ephemeral(4, Duration::ZERO, FsyncMode::Batch);
+        let gw = GroupWal::ephemeral(Duration::ZERO);
         gw.enable_oplog();
-        let t = gw.enqueue("t", "S".into()).unwrap();
+        let t = gw.enqueue("S".into()).unwrap();
         gw.wait(t).unwrap();
         assert_eq!(gw.oplog(), vec!["S".to_owned()]);
         assert_eq!(gw.size(), (0, 0));
-    }
-
-    /// Two table names that land on different shards of `gw` —
-    /// (a shard-0 table, a shard-1 table) for a two-shard plane.
-    fn two_tables_on_distinct_shards(gw: &GroupWal) -> (String, String) {
-        let mut found: [Option<String>; 2] = [None, None];
-        for i in 0.. {
-            let name = format!("t{i}");
-            let shard = gw.shard_for(&name);
-            if found[shard].is_none() {
-                found[shard] = Some(name);
-                if found.iter().all(|f| f.is_some()) {
-                    break;
-                }
-            }
-        }
-        (found[0].take().unwrap(), found[1].take().unwrap())
-    }
-
-    /// The cross-shard watermark: acking epoch 2 on shard B must first
-    /// make epoch 1 on shard A durable, even though A's writer never
-    /// calls `wait` — otherwise a crash in the window would censor the
-    /// acked frame behind the epoch gap.
-    #[test]
-    fn ack_waits_for_earlier_epochs_on_other_shards() {
-        let dir = tmp_dir("watermark");
-        let (gw, _) = GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch).unwrap();
-        let (on_a, on_b) = two_tables_on_distinct_shards(&gw);
-        let _t1 = gw.enqueue(&on_a, "S1".into()).unwrap(); // epoch 1, shard 0
-        let t2 = gw.enqueue(&on_b, "S2".into()).unwrap(); // epoch 2, shard 1
-
-        // Only the later epoch's waiter runs; it must help-commit
-        // shard 0 before it may ack.
-        gw.wait(t2).unwrap();
-        let a_frames = wal::replay(&wal::wal_path(&dir, 0, 0)).unwrap();
-        assert_eq!(
-            a_frames,
-            vec![(1, "S1".to_owned())],
-            "epoch 1 must be durable on shard 0 before epoch 2 acks"
-        );
-        // And recovery replays both, in epoch order — no gap.
-        drop(gw);
-        let (_, replayed) =
-            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch).unwrap();
-        assert_eq!(replayed, vec!["S1".to_owned(), "S2".to_owned()]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A lost batch poisons every later epoch store-wide: waiters past
-    /// the failed floor error on *every* shard (their frames sit past
-    /// a permanent gap recovery will censor), later enqueues are
-    /// refused, and recovery replays exactly the pre-loss prefix.
-    #[test]
-    fn lost_batch_fails_later_epochs_on_every_shard() {
-        let dir = tmp_dir("floor");
-        let (gw, _) = GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch).unwrap();
-        gw.enable_oplog();
-        let (on_a, on_b) = two_tables_on_distinct_shards(&gw);
-        let t_early = gw.enqueue(&on_a, "EARLY".into()).unwrap(); // epoch 1
-        gw.wait(t_early).unwrap();
-        let t_lost = gw.enqueue(&on_a, "LOST".into()).unwrap(); // epoch 2, shard 0
-        let t_after = gw.enqueue(&on_b, "AFTER".into()).unwrap(); // epoch 3, shard 1
-        gw.inject_fsync_fault_on(0);
-        assert!(
-            gw.wait(t_lost).is_err(),
-            "the lost frame's own waiter must not ack"
-        );
-        // The healthy shard's frame may even be durable on disk, but
-        // it sits past the gap: recovery censors it, so it must fail.
-        let err = gw.wait(t_after).unwrap_err();
-        assert!(err.to_string().contains("not durable"), "{err}");
-        // The store refuses new work on every shard.
-        assert!(gw.enqueue(&on_a, "MORE".into()).is_err());
-        assert!(gw.enqueue(&on_b, "MORE".into()).is_err());
-        // The oplog records only what recovery can reproduce.
-        assert_eq!(gw.oplog(), vec!["EARLY".to_owned()]);
-        drop(gw);
-        let (_, replayed) =
-            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch).unwrap();
-        assert_eq!(replayed, vec!["EARLY".to_owned()]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -40,7 +40,6 @@ pub mod wal;
 pub mod watch;
 
 pub use client::{Client, ClientError, StreamItem};
-pub use commit::FsyncMode;
 pub use metrics::{parse_exposition, Sample, SlowEntry, Stage};
 pub use protocol::{Reply, Request};
 pub use server::{ServeConfig, Server};

@@ -10,7 +10,6 @@
 //!   stop without a final snapshot or fsync, leaving recovery entirely
 //!   to the WAL.
 
-use crate::commit::FsyncMode;
 use crate::metrics::{self, SlowEntry};
 use crate::protocol::{Accumulator, Reply, Request};
 use crate::store::{Pending, ServeError, Store, StoreOptions};
@@ -41,15 +40,9 @@ pub struct ServeConfig {
     /// Admitted statements between automatic snapshots (0 = only on
     /// graceful shutdown).
     pub snapshot_every: u64,
-    /// Number of WAL shards (tables hash across them, so unrelated
-    /// tables can commit on independent fsyncs).
-    pub wal_shards: usize,
     /// How long an elected committer lingers collecting more frames
     /// before writing its batch (0 = drain immediately).
     pub commit_window: Duration,
-    /// Fsync discipline at the ack boundary (see
-    /// [`FsyncMode`](crate::commit::FsyncMode)).
-    pub fsync: FsyncMode,
 }
 
 impl Default for ServeConfig {
@@ -59,9 +52,7 @@ impl Default for ServeConfig {
             wal_dir: None,
             workers: 4,
             snapshot_every: 0,
-            wal_shards: 1,
             commit_window: Duration::ZERO,
-            fsync: FsyncMode::Batch,
         }
     }
 }
@@ -87,9 +78,7 @@ impl Server {
         sqlnf_obs::set_flight(true);
         let opts = StoreOptions {
             snapshot_every: config.snapshot_every,
-            wal_shards: config.wal_shards,
             commit_window: config.commit_window,
-            fsync: config.fsync,
         };
         let store = Arc::new(match &config.wal_dir {
             Some(dir) => Store::open_with(dir, opts)?,
@@ -363,12 +352,12 @@ fn handle_session(
 /// Commits every pending ticket and flushes the staged replies in
 /// request order. Commit outcomes are per ticket: exactly the replies
 /// whose own statements failed to become durable flip to errors — an
-/// undurable statement is never acked, and a statement durable on a
-/// healthy shard is never un-acked by a neighbour's failure. (A reply
-/// already reporting a statement-level refusal keeps its original
-/// error even if one of its earlier, applied statements also failed
-/// to commit.) A snapshot failure after the commit is a session-level
-/// error, not a statement rejection.
+/// undurable statement is never acked, and a statement an earlier
+/// batch made durable is never un-acked by a later batch's failure.
+/// (A reply already reporting a statement-level refusal keeps its
+/// original error even if one of its earlier, applied statements also
+/// failed to commit.) A snapshot failure after the commit is a
+/// session-level error, not a statement rejection.
 fn settle(
     store: &Store,
     writer: &mut TcpStream,
@@ -763,7 +752,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let server = Server::start(ServeConfig {
             wal_dir: Some(dir.clone()),
-            wal_shards: 2,
             ..ServeConfig::default()
         })
         .unwrap();

@@ -1,5 +1,6 @@
 //! The shared store behind all sessions: named [`StoredTable`]s, each
-//! behind its own `RwLock`, plus the group-commit durability plane.
+//! behind its own `RwLock`, plus the group-commit durability plane —
+//! one write-ahead log with batch fsync (see [`crate::commit`]).
 //!
 //! ## Locking discipline
 //!
@@ -13,21 +14,21 @@
 //!    clone the table's `Arc` and drops it before touching the table;
 //! 3. **table** `RwLock`s — sessions hold at most one; the snapshotter
 //!    holds all of them as a reader, acquired in name order;
-//! 4. **shard file** mutexes — holding one *is* being that shard's
-//!    elected committer; the snapshotter holds all of them (in shard
-//!    order) across the generation switch;
-//! 5. **shard queue** mutexes — always innermost; held only long
+//! 4. the **log file** mutex — holding it *is* being the elected
+//!    committer; the snapshotter holds it across the generation
+//!    switch;
+//! 5. the **commit queue** mutex — always innermost; held only long
 //!    enough to push or drain frames.
 //!
 //! A writer enqueues its WAL frame *while still holding the table's
-//! write lock* — which also assigns the frame its global epoch — so
-//! epoch order equals application order; the actual write+fsync
-//! happens later, in [`commit`](crate::commit), after the writer has
-//! released every lock. The snapshotter drains every shard while
-//! holding every table read lock, so no admitted statement can fall
-//! between snapshot and log.
+//! write lock* — which also assigns the frame its epoch — so epoch
+//! order equals application order; the actual write+fsync happens
+//! later, in [`commit`](crate::commit), after the writer has released
+//! every lock. The snapshotter drains the queue while holding every
+//! table read lock, so no admitted statement can fall between snapshot
+//! and log.
 
-use crate::commit::{FsyncMode, GroupWal, Ticket};
+use crate::commit::{GroupWal, Ticket};
 use crate::metrics::{self, SlowEntry, SlowLog, Stage};
 use crate::wal::{self, Wal, SNAPSHOT_FILE};
 use crate::watch::{Subscription, WatchHub, DEFAULT_WATCH_QUEUE};
@@ -148,22 +149,16 @@ pub struct StoreOptions {
     /// Admitted statements between automatic snapshots (0 = only on
     /// shutdown).
     pub snapshot_every: u64,
-    /// Number of WAL shards (tables are hashed across them).
-    pub wal_shards: usize,
     /// How long an elected committer lingers collecting more frames
     /// before writing its batch.
     pub commit_window: Duration,
-    /// Fsync discipline at the ack boundary.
-    pub fsync: FsyncMode,
 }
 
 impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
             snapshot_every: 0,
-            wal_shards: 1,
             commit_window: Duration::ZERO,
-            fsync: FsyncMode::Batch,
         }
     }
 }
@@ -227,11 +222,11 @@ impl Store {
         Store::ephemeral_with(StoreOptions::default())
     }
 
-    /// An in-memory store with explicit commit-plane tuning (shard
-    /// count and commit window still shape batching even without
-    /// backing files).
+    /// An in-memory store with explicit commit-plane tuning (the
+    /// commit window still shapes batching even without a backing
+    /// file).
     pub fn ephemeral_with(opts: StoreOptions) -> Store {
-        let wal = GroupWal::ephemeral(opts.wal_shards, opts.commit_window, opts.fsync);
+        let wal = GroupWal::ephemeral(opts.commit_window);
         let watch = WatchHub::spawn(Vec::new(), wal.epoch_next(), DEFAULT_WATCH_QUEUE);
         wal.set_listener(watch.sender());
         Store {
@@ -263,14 +258,15 @@ impl Store {
 
     /// Opens a durable store in `dir`, recovering state by applying the
     /// snapshot (if any) and then replaying the snapshot generation's
-    /// shard logs, merged by epoch — the longest contiguous epoch run
-    /// from the snapshot's base is exactly the acknowledged history.
-    /// Logs of any other generation are debris of a crash mid-snapshot
-    /// — older ones are fully contained in the snapshot, newer ones
-    /// were never written to — and are deleted, not replayed, so
-    /// recovery never applies a statement twice. The shard count may
-    /// differ from the one the logs were written under: recovery reads
-    /// whatever shards exist on disk.
+    /// log — its contiguous epoch run from the snapshot's base is
+    /// exactly the acknowledged history. Logs of any other generation
+    /// are debris of a crash mid-snapshot — older ones are fully
+    /// contained in the snapshot, newer ones were never written to —
+    /// and are deleted, not replayed, so recovery never applies a
+    /// statement twice. A directory whose live generation still holds
+    /// frames in an extra `wal.<g>.<s>.log` (`s >= 1`, written by an
+    /// earlier build that split the log) is refused with an error
+    /// naming the file, before any file is touched.
     pub fn open_with(dir: &Path, opts: StoreOptions) -> Result<Store, ServeError> {
         std::fs::create_dir_all(dir)?;
         let snap_path = dir.join(SNAPSHOT_FILE);
@@ -283,16 +279,9 @@ impl Store {
             Err(e) => return Err(e.into()),
         };
         wal::cleanup_stale(dir, generation)?;
-        // GroupWal::recover truncates torn tails and epoch-gapped
-        // suffixes, so replay-then-append agree on the logs' contents.
-        let (gwal, replayed) = GroupWal::recover(
-            dir,
-            generation,
-            epoch_base,
-            opts.wal_shards,
-            opts.commit_window,
-            opts.fsync,
-        )?;
+        // GroupWal::recover truncates a torn tail or an epoch-gapped
+        // suffix, so replay-then-append agree on the log's contents.
+        let (gwal, replayed) = GroupWal::recover(dir, generation, epoch_base, opts.commit_window)?;
         // Seed the WATCH hub's shadow state with the recovered history
         // so a subscriber's baseline matches the live registry; the
         // cursor starts at the first epoch the resumed store can
@@ -457,18 +446,17 @@ impl Store {
     /// Parks until every pending statement is durable, then counts
     /// and announces the per-statement outcomes. A statement is
     /// *admitted* — counted, flight-recorded, snapshot-triggering —
-    /// only here, after its frame survived the batch fsync and the
-    /// cross-shard watermark covers its epoch; a statement whose own
-    /// wait fails is *rejected*. Every ticket is redeemed
-    /// individually: a lost batch on one shard leaves statements
-    /// already durable elsewhere admitted, so the admission counter
-    /// always agrees with the oplog. Returns one outcome per ticket,
-    /// in enqueue order, plus the aftermath of the commit (the
-    /// auto-snapshot attempt) — callers replying per request map the
-    /// outcomes back onto replies and treat the aftermath as a
-    /// session-level failure, not a statement rejection. Callers must
-    /// hold no locks: a wait may elect this thread committer and
-    /// perform the batch I/O itself.
+    /// only here, after its frame survived the batch fsync; a statement
+    /// whose own wait fails is *rejected*. Every ticket is redeemed
+    /// individually: a lost batch leaves the pending set's statements
+    /// that an earlier batch already made durable admitted, so the
+    /// admission counter always agrees with the oplog. Returns one
+    /// outcome per ticket, in enqueue order, plus the aftermath of the
+    /// commit (the auto-snapshot attempt) — callers replying per
+    /// request map the outcomes back onto replies and treat the
+    /// aftermath as a session-level failure, not a statement
+    /// rejection. Callers must hold no locks: a wait may elect this
+    /// thread committer and perform the batch I/O itself.
     pub fn commit_pending_each(
         &self,
         pending: &mut Pending,
@@ -541,7 +529,7 @@ impl Store {
                 // plane refuses, the statement is refused and the
                 // registry is unchanged.
                 self.admit_gate()?;
-                let ticket = self.wal.enqueue(&name, rendered)?;
+                let ticket = self.wal.enqueue(rendered)?;
                 reg.insert(name, Arc::new(RwLock::new(StoredTable::new(schema, sigma))));
                 Ok(ticket)
             }
@@ -568,7 +556,7 @@ impl Store {
                 let rendered = render_insert(&table, &rows);
                 let enqueued = self
                     .admit_gate()
-                    .and_then(|()| self.wal.enqueue(&table, rendered).map_err(ServeError::from));
+                    .and_then(|()| self.wal.enqueue(rendered).map_err(ServeError::from));
                 match enqueued {
                     Ok(ticket) => Ok(ticket),
                     Err(e) => {
@@ -644,15 +632,7 @@ impl Store {
         self.wal.inject_fsync_fault_once();
     }
 
-    /// Test hook: like
-    /// [`inject_fsync_fault_once`](Self::inject_fsync_fault_once),
-    /// but only the named WAL shard's next batch fails — for
-    /// deterministic partial-commit-failure interleavings.
-    pub fn inject_fsync_fault_on(&self, shard: usize) {
-        self.wal.inject_fsync_fault_on(shard);
-    }
-
-    /// `(bytes, records)` across all WAL shards.
+    /// `(bytes, records)` of the live WAL.
     pub fn wal_size(&self) -> (u64, u64) {
         self.wal.size()
     }
@@ -699,18 +679,18 @@ impl Store {
     }
 
     /// Writes a snapshot and retires the current WAL generation by
-    /// switching every shard to the next one atomically. All table
-    /// read locks are held throughout — which quiesces the commit
-    /// plane, since enqueuing requires a table write lock — and every
-    /// shard is drained into its old log before the switch, so an
-    /// admitted statement is always in the snapshot or the live logs.
-    /// The on-disk order makes every crash point recoverable: the
-    /// generation-`g+1` snapshot (whose header records the epoch base)
-    /// and its empty shard logs are written and made durable (file
-    /// fsync, rename, directory fsync) *before* the generation-`g`
-    /// logs are deleted — a leftover old-generation log is therefore
-    /// always fully contained in the snapshot, and `open()` discards
-    /// it instead of replaying it twice.
+    /// switching the log to the next one. All table read locks are
+    /// held throughout — which quiesces the commit plane, since
+    /// enqueuing requires a table write lock — and the queue is
+    /// drained into the old log before the switch, so an admitted
+    /// statement is always in the snapshot or the live log. The on-disk
+    /// order makes every crash point recoverable: the generation-`g+1`
+    /// snapshot (whose header records the epoch base) and its empty log
+    /// are written and made durable (file fsync, rename, directory
+    /// fsync) *before* the generation-`g` log is deleted — a leftover
+    /// old-generation log is therefore always fully contained in the
+    /// snapshot, and `open()` discards it instead of replaying it
+    /// twice.
     pub fn snapshot(&self) -> Result<(), ServeError> {
         let Some(dir) = self.dir.as_ref() else {
             return Ok(());
@@ -728,11 +708,11 @@ impl Store {
             .iter()
             .map(|(name, arc)| (name, arc.read().unwrap()))
             .collect();
-        // Tier 4, all shards: drain straggler frames into the old
-        // generation (their writers are parked in wait(), not holding
-        // locks) and keep the file locks across the switch.
-        let mut files = self.wal.lock_files();
-        self.wal.drain_all(&mut files);
+        // Tier 4: drain straggler frames into the old generation (their
+        // writers are parked in wait(), not holding locks) and keep the
+        // file lock across the switch.
+        let mut file = self.wal.lock_file();
+        self.wal.drain(&mut file);
         let epoch_base = self.wal.epoch_next();
         let mut script = wal::snapshot_header(next, epoch_base);
         for (name, st) in &guards {
@@ -751,29 +731,20 @@ impl Store {
             let _span = sqlnf_obs::span!("serve.snapshot.fsync");
             metrics::timed(Stage::WalFsync, || f.sync_data())?;
         }
-        // The next generation's logs must exist before the snapshot
-        // naming them is published, and both must be durable before
-        // any statement is appended to the new logs — otherwise a
-        // crash could recover the old snapshot yet discard a new log.
-        let mut fresh = Vec::with_capacity(files.len());
-        for shard in 0..files.len() as u64 {
-            fresh.push(Wal::open(dir, next, shard)?);
-        }
+        // The next generation's log must exist before the snapshot
+        // naming it is published, and both must be durable before any
+        // statement is appended to the new log — otherwise a crash
+        // could recover the old snapshot yet discard a new log.
+        let (fresh, _) = Wal::open(dir, next, epoch_base)?;
         std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
         wal::sync_dir(dir)?;
-        let mut removed = false;
-        for (guard, new) in files.iter_mut().zip(fresh) {
-            if let Some(old) = (**guard).replace(new) {
-                // Already captured by the snapshot; removal is cleanup,
-                // not correctness — open() deletes leftovers.
-                let _ = std::fs::remove_file(old.path());
-                removed = true;
-            }
-        }
-        if removed {
+        if let Some(old) = file.replace(fresh) {
+            // Already captured by the snapshot; removal is cleanup, not
+            // correctness — open() deletes leftovers.
+            let _ = std::fs::remove_file(old.path());
             let _ = wal::sync_dir(dir);
         }
-        drop(files);
+        drop(file);
         self.since_snapshot.store(0, Ordering::Relaxed);
         *generation = next;
         self.stats.snapshots.fetch_add(1, Ordering::Relaxed);
@@ -781,9 +752,9 @@ impl Store {
         Ok(())
     }
 
-    /// Fsyncs every WAL shard (graceful shutdown path).
+    /// Fsyncs the WAL (graceful shutdown path).
     pub fn sync(&self) -> Result<(), ServeError> {
-        self.wal.sync_all()?;
+        self.wal.sync()?;
         Ok(())
     }
 
@@ -877,51 +848,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A store written under several shards recovers identically no
-    /// matter how many shards the reopening configuration asks for —
-    /// the epoch merge, not the file layout, defines the history.
-    #[test]
-    fn sharded_history_recovers_under_any_shard_count() {
-        let dir = tmp_dir("reshard");
-        let opts = StoreOptions {
-            wal_shards: 4,
-            ..StoreOptions::default()
-        };
-        let store = Store::open_with(&dir, opts).unwrap();
-        store.execute_sql(DDL).unwrap();
-        store
-            .execute_sql("CREATE TABLE other (x INT NOT NULL, CONSTRAINT k CERTAIN KEY (x));")
-            .unwrap();
-        for i in 0..10 {
-            store
-                .execute_sql(&format!(
-                    "INSERT INTO purchase VALUES ({i}, 'i{i}', NULL, {i});"
-                ))
-                .unwrap();
-            store
-                .execute_sql(&format!("INSERT INTO other VALUES ({i});"))
-                .unwrap();
-        }
-        let expected = store.export_script();
-        drop(store);
-        // The two tables hash to shards independently; at least the
-        // frames exist across the generation's shard files.
-        assert!(!wal::shard_logs(&dir, 0).unwrap().is_empty());
-        for shards in [1, 2, 8] {
-            let reborn = Store::open_with(
-                &dir,
-                StoreOptions {
-                    wal_shards: shards,
-                    ..StoreOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(reborn.export_script(), expected, "shards={shards}");
-            assert!(reborn.satisfies_all_constraints());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// The crash window the generation scheme closes: the snapshot is
     /// renamed into place but the previous generation's log survives
     /// (power loss before the retired log was deleted). Replaying that
@@ -936,7 +862,7 @@ mod tests {
         store
             .execute_sql("INSERT INTO purchase VALUES (1, 'Fitbit', NULL, 240);")
             .unwrap();
-        let old_log = std::fs::read(wal::wal_path(&dir, 0, 0)).unwrap();
+        let old_log = std::fs::read(wal::wal_path(&dir, 0)).unwrap();
         store.snapshot().unwrap();
         store
             .execute_sql("INSERT INTO purchase VALUES (2, 'Doll', 'Kingtoys', 25);")
@@ -945,19 +871,19 @@ mod tests {
         drop(store);
         // Resurrect the generation-0 log next to the generation-1
         // snapshot + log, as if the final delete never hit the disk.
-        std::fs::write(wal::wal_path(&dir, 0, 0), &old_log).unwrap();
+        std::fs::write(wal::wal_path(&dir, 0), &old_log).unwrap();
         let reborn = Store::open(&dir, 0).unwrap();
         assert_eq!(reborn.export_script(), expected);
         assert!(reborn.satisfies_all_constraints());
-        assert!(!wal::wal_path(&dir, 0, 0).exists(), "stale log cleaned up");
+        assert!(!wal::wal_path(&dir, 0).exists(), "stale log cleaned up");
         drop(reborn);
         // Crash *before* the rename instead: an empty next-generation
         // log and a temp snapshot are debris, not state.
-        std::fs::write(wal::wal_path(&dir, 9, 0), b"").unwrap();
+        std::fs::write(wal::wal_path(&dir, 9), b"").unwrap();
         std::fs::write(wal::snapshot_tmp_path(&dir, 9), b"junk").unwrap();
         let again = Store::open(&dir, 0).unwrap();
         assert_eq!(again.export_script(), expected);
-        assert!(!wal::wal_path(&dir, 9, 0).exists());
+        assert!(!wal::wal_path(&dir, 9).exists());
         assert!(!wal::snapshot_tmp_path(&dir, 9).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1069,69 +995,106 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A partial commit failure — one shard loses its batch while
-    /// another commits — must be accounted per ticket: the statement
-    /// durable on the healthy shard is admitted (it is in the oplog,
-    /// and recovery replays it), only the lost statement is rejected,
-    /// and the admission counter agrees with the oplog throughout.
+    /// A lost batch is accounted per ticket: a pending set whose first
+    /// statement an earlier batch already made durable (another
+    /// session's commit drained the shared queue) admits that
+    /// statement — it is in the oplog, and recovery replays it — and
+    /// rejects only the statement the lost batch carried, so the
+    /// admission counter agrees with the oplog.
     #[test]
     fn partial_commit_failure_counts_per_ticket() {
         let dir = tmp_dir("partial");
-        let opts = StoreOptions {
-            wal_shards: 2,
-            ..StoreOptions::default()
-        };
-        let store = Store::open_with(&dir, opts.clone()).unwrap();
+        let store = Store::open(&dir, 0).unwrap();
         store.enable_oplog();
-        // Two tables that hash to the two distinct shards.
-        let mut names: [Option<String>; 2] = [None, None];
-        for i in 0.. {
-            let name = format!("t{i}");
-            let shard = store.wal.shard_for(&name);
-            if names[shard].is_none() {
-                names[shard] = Some(name);
-                if names.iter().all(|n| n.is_some()) {
-                    break;
-                }
-            }
-        }
-        let (on_a, on_b) = (names[0].take().unwrap(), names[1].take().unwrap());
-        for t in [&on_a, &on_b] {
-            store
-                .execute_sql(&format!(
-                    "CREATE TABLE {t} (x INT NOT NULL, CONSTRAINT k CERTAIN KEY (x));"
-                ))
-                .unwrap();
-        }
-        // One pipelined pending set spanning both shards; shard 1
-        // (the *later* epoch's shard) loses its batch, so the earlier
-        // statement commits before the loss poisons the floor.
+        store.execute_sql(DDL).unwrap();
         let mut pending = Pending::default();
         store
-            .execute_sql_enqueue(&format!("INSERT INTO {on_a} VALUES (1);"), &mut pending)
+            .execute_sql_enqueue(
+                "INSERT INTO purchase VALUES (1, 'A', NULL, 1);",
+                &mut pending,
+            )
+            .unwrap();
+        // Another statement's commit drains the queue, statement 1
+        // included.
+        store
+            .execute_sql("INSERT INTO purchase VALUES (2, 'B', NULL, 2);")
             .unwrap();
         store
-            .execute_sql_enqueue(&format!("INSERT INTO {on_b} VALUES (1);"), &mut pending)
+            .execute_sql_enqueue(
+                "INSERT INTO purchase VALUES (3, 'C', NULL, 3);",
+                &mut pending,
+            )
             .unwrap();
         assert_eq!(pending.len(), 2);
-        store.inject_fsync_fault_on(1);
+        store.inject_fsync_fault_once();
         let (outcomes, aftermath) = store.commit_pending_each(&mut pending);
         aftermath.unwrap();
         assert_eq!(outcomes.len(), 2);
-        assert!(outcomes[0].is_ok(), "healthy shard's statement is admitted");
+        assert!(outcomes[0].is_ok(), "the durable statement is admitted");
         assert!(outcomes[1].is_err(), "only the lost statement is rejected");
-        // 2 DDL + the healthy insert; the counter matches the oplog.
+        // DDL + statement 2 + statement 1; the counter matches the oplog.
         assert_eq!(store.stats.admitted.load(Ordering::Relaxed), 3);
         assert_eq!(store.stats.rejected.load(Ordering::Relaxed), 1);
-        assert_eq!(store.oplog().len(), 3);
+        assert_eq!(
+            store.stats.admitted.load(Ordering::Relaxed),
+            store.oplog().len() as u64
+        );
         drop(store);
-        let reborn = Store::open_with(&dir, opts).unwrap();
-        reborn
-            .with_table(&on_a, |st| assert_eq!(st.data().len(), 1))
+        // Recovery replays statement 1 (and 2), never statement 3.
+        let mut reference = Database::new();
+        for stmt in [
+            DDL,
+            "INSERT INTO purchase VALUES (1, 'A', NULL, 1);",
+            "INSERT INTO purchase VALUES (2, 'B', NULL, 2);",
+        ] {
+            reference.run_script(stmt).unwrap();
+        }
+        let reborn = Store::open(&dir, 0).unwrap();
+        assert_eq!(reborn.export_script(), reference.export_script());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Frames an earlier build left in an extra `wal.<g>.<s>.log` of the
+    /// live generation are never dropped silently: opening refuses with
+    /// an error naming the file and touches nothing.
+    #[test]
+    fn leftover_extra_log_with_frames_is_refused() {
+        let dir = tmp_dir("extra_frames");
+        let store = Store::open(&dir, 0).unwrap();
+        store.execute_sql(DDL).unwrap();
+        drop(store);
+        let extra = dir.join("wal.0.1.log");
+        let frame = "#46@2\nINSERT INTO purchase VALUES (1, 'A', NULL, 1);\n";
+        std::fs::write(&extra, frame).unwrap();
+        let log = std::fs::read(wal::wal_path(&dir, 0)).unwrap();
+        let err = Store::open(&dir, 0).unwrap_err();
+        assert!(err.to_string().contains("wal.0.1.log"), "{err}");
+        assert_eq!(std::fs::read_to_string(&extra).unwrap(), frame);
+        assert_eq!(std::fs::read(wal::wal_path(&dir, 0)).unwrap(), log);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A graceful shutdown under an earlier build that split the log
+    /// leaves empty extra logs of the new generation: debris, deleted
+    /// on open like any other.
+    #[test]
+    fn leftover_empty_extra_logs_are_debris() {
+        let dir = tmp_dir("extra_empty");
+        let store = Store::open(&dir, 0).unwrap();
+        store.execute_sql(DDL).unwrap();
+        store
+            .execute_sql("INSERT INTO purchase VALUES (1, 'A', NULL, 1);")
             .unwrap();
-        reborn
-            .with_table(&on_b, |st| assert_eq!(st.data().len(), 0))
-            .unwrap();
+        store.snapshot().unwrap();
+        let expected = store.export_script();
+        drop(store);
+        let extras: Vec<PathBuf> = (1..4).map(|s| dir.join(format!("wal.1.{s}.log"))).collect();
+        for extra in &extras {
+            std::fs::write(extra, b"").unwrap();
+        }
+        let reborn = Store::open(&dir, 0).unwrap();
+        assert_eq!(reborn.export_script(), expected);
+        assert!(extras.iter().all(|extra| !extra.exists()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

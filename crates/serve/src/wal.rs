@@ -1,4 +1,4 @@
-//! Append-only, sharded write-ahead log of admitted statements.
+//! Append-only write-ahead log of admitted statements.
 //!
 //! The log is a sequence of length-prefixed, epoch-stamped frames,
 //!
@@ -7,45 +7,38 @@
 //! ```
 //!
 //! where `<len>` is the payload's byte length in decimal, `<epoch>` is
-//! the statement's position in the store's single global admission
-//! order (a monotonically increasing counter shared by every shard),
-//! and the payload is one SQL statement in the canonical rendering of
+//! the statement's position in the store's admission order (a
+//! counter that increases by one per admitted statement), and the
+//! payload is one SQL statement in the canonical rendering of
 //! `sqlnf_model::sql` (`render_create_table` / `render_insert`), so a
-//! log replays through the ordinary parser. Recovery tolerates a torn
-//! tail: the first malformed or incomplete frame ends the replay, and
-//! the next append truncates the file back to the last good frame.
+//! log replays through the ordinary parser.
 //!
-//! ## Shards
-//!
-//! A generation's log is split across `wal.<g>.<shard>.log` files;
-//! writers pick a shard by hashing the statement's table name, so two
-//! tables can commit on different files (and different fsyncs)
-//! concurrently. Because every frame carries its global epoch, replay
-//! does not depend on the shard layout: recovery reads every shard of
-//! the snapshot's generation, merge-sorts the frames by epoch, and
-//! replays the longest contiguous run starting at the generation's
-//! epoch base (recorded in the snapshot header). A gap — epoch `e`
-//! missing because its shard's tail was torn while a later epoch on
-//! another shard survived — ends the replay at `e-1`; the frames past
-//! the gap were never acknowledged (an ack waits for the cross-shard
-//! watermark: every epoch at or below the acked one durable, see
-//! [`crate::commit`]) and are discarded by physically truncating
-//! every shard back to the durable prefix, so the resumed epoch
-//! counter can never collide with a leftover frame.
+//! Recovery checks two things about what it reads back. A torn tail —
+//! the first malformed or incomplete frame — ends the replay. So does
+//! the first frame whose epoch does not follow its predecessor's (the
+//! first frame must carry the generation's epoch base, recorded in the
+//! snapshot header). Everything past the replayed run is truncated
+//! away, so the resumed epoch counter never collides with a leftover
+//! frame.
 //!
 //! ## Generations
 //!
-//! A snapshot records (in its header line) the generation of the logs
-//! that accompany it and the epoch the next frame will carry. Taking a
-//! snapshot never truncates a log in place: it writes the snapshot for
-//! generation `g+1`, creates the empty `wal.<g+1>.<s>.log` for every
-//! shard, renames the snapshot into place, fsyncs the directory, and
-//! only then retires the generation-`g` logs. A crash at any point
-//! leaves the directory recoverable: logs whose generation differs
-//! from the snapshot's are either fully captured by the snapshot
-//! (older) or empty leftovers of an unfinished snapshot (newer), so
-//! [`cleanup_stale`] deletes them before replay instead of replaying
-//! them twice.
+//! A generation's log lives in `wal.<g>.0.log`. A snapshot records (in
+//! its header line) the generation of the log that accompanies it and
+//! the epoch the next frame will carry. Taking a snapshot never
+//! truncates a log in place: it writes the snapshot for generation
+//! `g+1`, creates the empty `wal.<g+1>.0.log`, renames the snapshot
+//! into place, fsyncs the directory, and only then retires the
+//! generation-`g` log. A crash at any point leaves the directory
+//! recoverable: logs whose generation differs from the snapshot's are
+//! either fully captured by the snapshot (older) or empty leftovers of
+//! an unfinished snapshot (newer), so [`cleanup_stale`] deletes them
+//! before replay instead of replaying them twice.
+//!
+//! Earlier builds could split a generation across `wal.<g>.<s>.log`
+//! files. [`cleanup_stale`] deletes empty `s >= 1` files as debris and
+//! refuses to open a directory whose live generation still holds
+//! frames in one, rather than dropping them.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -60,9 +53,9 @@ const SNAPSHOT_HEADER: &str = "-- sqlnf snapshot generation=";
 /// Separates the generation from the epoch base in a snapshot header.
 const SNAPSHOT_EPOCH: &str = " epoch=";
 
-/// Path of `shard`'s log for `generation` inside `dir`.
-pub fn wal_path(dir: &Path, generation: u64, shard: u64) -> PathBuf {
-    dir.join(format!("wal.{generation}.{shard}.log"))
+/// Path of the log of `generation` inside `dir`.
+pub fn wal_path(dir: &Path, generation: u64) -> PathBuf {
+    dir.join(format!("wal.{generation}.0.log"))
 }
 
 /// Path of the snapshot temp file for `generation` inside `dir` (a
@@ -82,7 +75,7 @@ pub fn snapshot_header(generation: u64, epoch_base: u64) -> String {
 /// Splits a snapshot image into its generation, its epoch base, and
 /// its SQL body. A missing or malformed header reads as generation 0
 /// with epoch base 1 and the whole image as body; a header without an
-/// epoch field (written before logs were sharded) reads as base 1.
+/// epoch field (written before frames carried epochs) reads as base 1.
 pub fn parse_snapshot(image: &str) -> (u64, u64, &str) {
     if let Some(rest) = image.strip_prefix(SNAPSHOT_HEADER) {
         if let Some((head, body)) = rest.split_once('\n') {
@@ -98,51 +91,54 @@ pub fn parse_snapshot(image: &str) -> (u64, u64, &str) {
     (0, 1, image)
 }
 
-/// The shard logs of `generation` present in `dir`, as
-/// `(shard, path)` pairs in shard order. Lists what is on disk rather
-/// than assuming a shard count, so a store reopened with a different
-/// `--wal-shards` still recovers every frame.
-pub fn shard_logs(dir: &Path, generation: u64) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some((g, shard)) = parse_log_name(name) {
-            if g == generation {
-                out.push((shard, entry.path()));
-            }
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-/// Parses `wal.<g>.<shard>.log` into `(g, shard)`.
+/// Parses `wal.<g>.<s>.log` into `(g, s)`; `s` is always 0 for logs
+/// this build writes.
 fn parse_log_name(name: &str) -> Option<(u64, u64)> {
     let rest = name.strip_prefix("wal.")?.strip_suffix(".log")?;
     let (g, shard) = rest.split_once('.')?;
     Some((g.parse().ok()?, shard.parse().ok()?))
 }
 
-/// Deletes shard logs of any generation other than `keep` plus
-/// leftover snapshot temp files — the debris of a crash mid-snapshot,
-/// all of it already applied (older logs) or never written to (newer
-/// logs).
+/// Deletes the debris of a crash mid-snapshot — logs of any generation
+/// other than `keep` (already applied, or never written to) and
+/// leftover snapshot temp files — plus empty `wal.<keep>.<s>.log` files
+/// with `s >= 1`, which an earlier build's snapshot left behind.
+///
+/// A non-empty `wal.<keep>.<s>.log` with `s >= 1` holds frames of a log
+/// that an earlier build split across several files; replaying only
+/// `wal.<keep>.0.log` would drop them silently. That case is an error
+/// naming the file, raised before any file is touched.
 pub fn cleanup_stale(dir: &Path, keep: u64) -> io::Result<()> {
-    let mut removed = false;
+    let mut stale = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let stale_log = parse_log_name(name).is_some_and(|(g, _)| g != keep);
-        let stale_tmp = name.starts_with("snapshot.") && name.ends_with(".tmp");
-        if stale_log || stale_tmp {
-            std::fs::remove_file(entry.path())?;
-            removed = true;
+        let remove = match parse_log_name(name) {
+            Some((g, _)) if g != keep => true,
+            Some((_, 0)) => false,
+            Some(_) if entry.metadata()?.len() > 0 => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{} holds frames of a WAL split across several files by an \
+                         earlier build; reopen the directory with that build and shut \
+                         it down gracefully to fold the frames into a snapshot",
+                        entry.path().display()
+                    ),
+                ));
+            }
+            Some(_) => true,
+            None => name.starts_with("snapshot.") && name.ends_with(".tmp"),
+        };
+        if remove {
+            stale.push(entry.path());
         }
     }
-    if removed {
+    for path in &stale {
+        std::fs::remove_file(path)?;
+    }
+    if !stale.is_empty() {
         sync_dir(dir)?;
     }
     Ok(())
@@ -153,7 +149,7 @@ pub fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// An open write-ahead log shard.
+/// An open write-ahead log.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
@@ -163,27 +159,15 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens (creating if needed) `shard`'s log of `generation` inside
-    /// `dir`, positioned after the last complete frame — a torn tail
-    /// from a crash is discarded here, so recovery and the append path
-    /// agree on the log's contents.
-    pub fn open(dir: &Path, generation: u64, shard: u64) -> io::Result<Wal> {
-        Self::open_capped(dir, generation, shard, None)
-    }
-
-    /// Like [`open`](Self::open), but additionally discards any frame
-    /// whose epoch exceeds `cap` (and everything after it). Recovery
-    /// uses this to erase frames past an epoch gap: they were written
-    /// by a crashed commit whose merge prefix ends earlier, and the
-    /// resumed epoch counter must not collide with them.
-    pub fn open_capped(
-        dir: &Path,
-        generation: u64,
-        shard: u64,
-        cap: Option<u64>,
-    ) -> io::Result<Wal> {
+    /// Opens (creating if needed) the log of `generation` inside `dir`
+    /// and returns it with the payloads it replays: the complete frames
+    /// whose epochs count up from `epoch_base` without a gap.
+    /// Everything after that run — a torn tail, or frames past an epoch
+    /// gap — is truncated away, so recovery and the append path agree
+    /// on the log's contents.
+    pub fn open(dir: &Path, generation: u64, epoch_base: u64) -> io::Result<(Wal, Vec<String>)> {
         std::fs::create_dir_all(dir)?;
-        let path = wal_path(dir, generation, shard);
+        let path = wal_path(dir, generation);
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -192,24 +176,26 @@ impl Wal {
             .open(&path)?;
         let mut raw = Vec::new();
         file.read_to_end(&mut raw)?;
-        let (frames, mut good) = scan_frames(&raw);
-        let mut records = frames.len();
-        if let Some(cap) = cap {
-            if let Some(i) = frames.iter().position(|(e, _)| *e > cap) {
-                records = i;
-                good = frames[..i].iter().map(|(e, p)| frame_len(*e, p)).sum();
+        let mut good = 0u64;
+        let mut payloads = Vec::new();
+        for (epoch, payload, end) in scan_frames(&raw) {
+            if epoch != epoch_base + payloads.len() as u64 {
+                break;
             }
+            good = end as u64;
+            payloads.push(payload);
         }
-        if (good as u64) < raw.len() as u64 {
-            file.set_len(good as u64)?;
+        if good < raw.len() as u64 {
+            file.set_len(good)?;
         }
-        file.seek(SeekFrom::Start(good as u64))?;
-        Ok(Wal {
+        file.seek(SeekFrom::Start(good))?;
+        let wal = Wal {
             file,
             path,
-            bytes: good as u64,
-            records: records as u64,
-        })
+            bytes: good,
+            records: payloads.len() as u64,
+        };
+        Ok((wal, payloads))
     }
 
     /// Appends one frame. The write lands in the OS page cache; an
@@ -276,50 +262,42 @@ fn render_frame(buf: &mut String, epoch: u64, payload: &str) {
     let _ = write!(buf, "#{}@{epoch}\n{payload}\n", payload.len());
 }
 
-/// Byte size of one rendered frame.
-fn frame_len(epoch: u64, payload: &str) -> usize {
-    let mut buf = String::new();
-    render_frame(&mut buf, epoch, payload);
-    buf.len()
-}
-
-/// Parses the complete frames of a raw log image; returns the
-/// `(epoch, payload)` pairs and the byte offset just past the last
-/// complete frame.
-fn scan_frames(raw: &[u8]) -> (Vec<(u64, String)>, usize) {
+/// Parses the complete frames of a raw log image, up to the first
+/// malformed or incomplete one; returns each frame's epoch, payload,
+/// and the byte offset just past it.
+fn scan_frames(raw: &[u8]) -> Vec<(u64, String, usize)> {
     let mut out = Vec::new();
     let mut at = 0usize;
     loop {
-        let frame_start = at;
         if at >= raw.len() || raw[at] != b'#' {
-            return (out, frame_start);
+            return out;
         }
         at += 1;
         let Some((len, next)) = scan_number(raw, at) else {
-            return (out, frame_start);
+            return out;
         };
         at = next;
         if at >= raw.len() || raw[at] != b'@' {
-            return (out, frame_start);
+            return out;
         }
         at += 1;
         let Some((epoch, next)) = scan_number(raw, at) else {
-            return (out, frame_start);
+            return out;
         };
         at = next;
         if at >= raw.len() || raw[at] != b'\n' {
-            return (out, frame_start);
+            return out;
         }
         at += 1;
         let Some(end) = at.checked_add(len as usize) else {
-            return (out, frame_start);
+            return out;
         };
         if end >= raw.len() || raw[end] != b'\n' {
-            return (out, frame_start);
+            return out;
         }
         match std::str::from_utf8(&raw[at..end]) {
-            Ok(s) => out.push((epoch, s.to_owned())),
-            Err(_) => return (out, frame_start),
+            Ok(s) => out.push((epoch, s.to_owned(), end + 1)),
+            Err(_) => return out,
         }
         at = end + 1;
     }
@@ -348,33 +326,10 @@ pub fn replay(path: &Path) -> io::Result<Vec<(u64, String)>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
-    Ok(scan_frames(&raw).0)
-}
-
-/// Merges per-shard frame lists into the single replayable history:
-/// sorts everything by epoch and keeps the longest contiguous run
-/// starting at `epoch_base`. Returns the merged run and the last good
-/// epoch (`epoch_base - 1` if the run is empty). A duplicate epoch —
-/// impossible under the commit protocol, but conceivable after manual
-/// log surgery — is skipped as stale: the first frame bearing an
-/// epoch wins, later ones are ignored and the run continues. Frames
-/// below `epoch_base` (already captured by the snapshot) are skipped
-/// the same way.
-pub fn merge_by_epoch(shards: Vec<Vec<(u64, String)>>, epoch_base: u64) -> (Vec<String>, u64) {
-    let mut all: Vec<(u64, String)> = shards.into_iter().flatten().collect();
-    all.sort_by_key(|a| a.0);
-    let mut out = Vec::new();
-    let mut last = epoch_base.saturating_sub(1);
-    for (epoch, payload) in all {
-        if epoch == last + 1 {
-            out.push(payload);
-            last = epoch;
-        } else if epoch > last {
-            break; // gap: a torn shard tail swallowed `last+1`
-        }
-        // epoch <= last: duplicate, or below the base; skip as stale.
-    }
-    (out, last)
+    Ok(scan_frames(&raw)
+        .into_iter()
+        .map(|(epoch, payload, _)| (epoch, payload))
+        .collect())
 }
 
 #[cfg(test)]
@@ -391,11 +346,12 @@ mod tests {
     #[test]
     fn append_replay_round_trip() {
         let dir = tmp_dir("rt");
-        let mut wal = Wal::open(&dir, 0, 0).unwrap();
+        let (mut wal, replayed) = Wal::open(&dir, 0, 1).unwrap();
+        assert!(replayed.is_empty());
         wal.append(1, "CREATE TABLE t (a TEXT);").unwrap();
         wal.append(2, "INSERT INTO t VALUES ('x;\ny');").unwrap();
         assert_eq!(wal.records(), 2);
-        let back = replay(&wal_path(&dir, 0, 0)).unwrap();
+        let back = replay(&wal_path(&dir, 0)).unwrap();
         assert_eq!(
             back,
             vec![
@@ -403,31 +359,34 @@ mod tests {
                 (2, "INSERT INTO t VALUES ('x;\ny');".to_owned())
             ]
         );
+        drop(wal);
+        let (_, replayed) = Wal::open(&dir, 0, 1).unwrap();
+        assert_eq!(replayed, vec![back[0].1.clone(), back[1].1.clone()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn batch_append_is_one_frame_per_statement() {
         let dir = tmp_dir("batch");
-        let mut wal = Wal::open(&dir, 0, 0).unwrap();
+        let (mut wal, _) = Wal::open(&dir, 0, 1).unwrap();
         let frames: Vec<(u64, String)> = (1..=5)
             .map(|i| (i, format!("INSERT INTO t VALUES ({i});")))
             .collect();
         wal.append_batch(&frames).unwrap();
         assert_eq!(wal.records(), 5);
-        assert_eq!(replay(&wal_path(&dir, 0, 0)).unwrap(), frames);
+        assert_eq!(replay(&wal_path(&dir, 0)).unwrap(), frames);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_is_tolerated_and_truncated() {
         let dir = tmp_dir("torn");
-        let mut wal = Wal::open(&dir, 0, 0).unwrap();
+        let (mut wal, _) = Wal::open(&dir, 0, 1).unwrap();
         wal.append(1, "INSERT INTO t VALUES (1);").unwrap();
         let good_bytes = wal.bytes();
         drop(wal);
         // Simulate a crash mid-append: a frame with a short payload.
-        let path = wal_path(&dir, 0, 0);
+        let path = wal_path(&dir, 0);
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(b"#999@2\nINSERT INTO").unwrap();
         drop(f);
@@ -437,7 +396,7 @@ mod tests {
         );
         // Re-opening truncates back to the last good frame and appends
         // continue from there.
-        let mut wal = Wal::open(&dir, 0, 0).unwrap();
+        let (mut wal, _) = Wal::open(&dir, 0, 1).unwrap();
         assert_eq!(wal.bytes(), good_bytes);
         assert_eq!(wal.records(), 1);
         wal.append(2, "INSERT INTO t VALUES (2);").unwrap();
@@ -446,45 +405,33 @@ mod tests {
     }
 
     #[test]
-    fn open_capped_erases_frames_past_the_cap() {
-        let dir = tmp_dir("cap");
-        let mut wal = Wal::open(&dir, 0, 0).unwrap();
-        for epoch in 1..=4 {
+    fn open_truncates_at_the_first_epoch_gap() {
+        let dir = tmp_dir("gap");
+        let (mut wal, _) = Wal::open(&dir, 0, 1).unwrap();
+        for epoch in [1, 2, 4, 5] {
             wal.append(epoch, &format!("INSERT INTO t VALUES ({epoch});"))
                 .unwrap();
         }
         drop(wal);
-        let wal = Wal::open_capped(&dir, 0, 0, Some(2)).unwrap();
+        // Epoch 3 is missing: only 1..=2 replay, and 4, 5 are erased.
+        let (wal, replayed) = Wal::open(&dir, 0, 1).unwrap();
+        assert_eq!(replayed.len(), 2);
         assert_eq!(wal.records(), 2);
         drop(wal);
-        let back = replay(&wal_path(&dir, 0, 0)).unwrap();
+        let back = replay(&wal_path(&dir, 0)).unwrap();
         assert_eq!(back.iter().map(|(e, _)| *e).collect::<Vec<_>>(), vec![1, 2]);
+        // A log whose first frame is not the epoch base replays nothing.
+        let (wal, replayed) = Wal::open(&dir, 0, 7).unwrap();
+        assert!(replayed.is_empty());
+        assert_eq!(wal.bytes(), 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn merge_by_epoch_stops_at_a_gap() {
-        let a = vec![(1, "A".to_owned()), (4, "D".to_owned())];
-        let b = vec![(2, "B".to_owned()), (6, "F".to_owned())];
-        // Epochs 1,2,4,6 from base 1: 3 is missing, so only 1..=2 replay.
-        let (run, last) = merge_by_epoch(vec![a, b], 1);
-        assert_eq!(run, vec!["A".to_owned(), "B".to_owned()]);
-        assert_eq!(last, 2);
-        // An empty merge reports base-1 as the last good epoch.
-        let (run, last) = merge_by_epoch(vec![Vec::new()], 7);
-        assert!(run.is_empty());
-        assert_eq!(last, 6);
-        // A run starting past the base is entirely discarded.
-        let (run, last) = merge_by_epoch(vec![vec![(9, "X".to_owned())]], 7);
-        assert!(run.is_empty());
-        assert_eq!(last, 6);
     }
 
     #[test]
     fn snapshot_header_round_trips() {
         let image = format!("{}CREATE TABLE t (a INT);\n", snapshot_header(7, 42));
         assert_eq!(parse_snapshot(&image), (7, 42, "CREATE TABLE t (a INT);\n"));
-        // Pre-shard headers without an epoch field read as base 1.
+        // Headers without an epoch field read as base 1.
         assert_eq!(
             parse_snapshot("-- sqlnf snapshot generation=7\nBODY"),
             (7, 1, "BODY")
@@ -499,32 +446,20 @@ mod tests {
     #[test]
     fn cleanup_removes_other_generations_and_tmps() {
         let dir = tmp_dir("clean");
-        std::fs::write(wal_path(&dir, 3, 0), b"").unwrap();
-        std::fs::write(wal_path(&dir, 4, 0), b"").unwrap();
-        std::fs::write(wal_path(&dir, 4, 1), b"").unwrap();
-        std::fs::write(wal_path(&dir, 5, 2), b"").unwrap();
+        let log = |g: u64, s: u64| dir.join(format!("wal.{g}.{s}.log"));
+        std::fs::write(log(3, 0), b"").unwrap();
+        std::fs::write(log(4, 0), b"").unwrap();
+        std::fs::write(log(4, 1), b"").unwrap();
+        std::fs::write(log(5, 2), b"#1@9\nx\n").unwrap();
         std::fs::write(snapshot_tmp_path(&dir, 4), b"junk").unwrap();
         std::fs::write(dir.join(SNAPSHOT_FILE), b"").unwrap();
         cleanup_stale(&dir, 4).unwrap();
-        assert!(!wal_path(&dir, 3, 0).exists());
-        assert!(wal_path(&dir, 4, 0).exists());
-        assert!(wal_path(&dir, 4, 1).exists());
-        assert!(!wal_path(&dir, 5, 2).exists());
+        assert!(!log(3, 0).exists());
+        assert!(log(4, 0).exists());
+        assert!(!log(4, 1).exists(), "empty extra log is debris");
+        assert!(!log(5, 2).exists());
         assert!(!snapshot_tmp_path(&dir, 4).exists());
         assert!(dir.join(SNAPSHOT_FILE).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_logs_lists_the_generation() {
-        let dir = tmp_dir("shards");
-        std::fs::write(wal_path(&dir, 2, 1), b"").unwrap();
-        std::fs::write(wal_path(&dir, 2, 0), b"").unwrap();
-        std::fs::write(wal_path(&dir, 3, 0), b"").unwrap();
-        let logs = shard_logs(&dir, 2).unwrap();
-        assert_eq!(logs.len(), 2);
-        assert_eq!(logs[0].0, 0);
-        assert_eq!(logs[1].0, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

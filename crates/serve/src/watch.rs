@@ -5,19 +5,14 @@
 //! appearing or newly refuted possible/certain FDs and keys — to
 //! registered subscribers as framed `EVENT` lines.
 //!
-//! ## Durable-watermark contract
+//! ## Durability contract
 //!
-//! Frames enter the hub from [`GroupWal::commit_locked`]'s success
-//! path, i.e. *after* the batch is fsync-durable on its shard. The hub
-//! holds them in a reorder buffer and releases epochs strictly
-//! contiguously from the store's base epoch: epoch `e` is applied only
-//! once every epoch `< e` has arrived. Because a frame is sent exactly
-//! once its shard commit succeeds, contiguity-from-base reproduces the
-//! cross-shard durable watermark without ever reading it — a censored
-//! (failed) epoch simply never arrives, so the stream stalls in front
-//! of it forever and a subscriber can never observe state beyond the
-//! watermark. This mirrors the restart contract: a degraded store
-//! replays exactly the contiguous durable prefix.
+//! Frames enter the hub from the group committer's success path, i.e.
+//! *after* the batch is fsync-durable, and the committer sends while
+//! it still holds the log's file mutex. Batches therefore arrive in
+//! epoch order, and after a lost batch nothing later is ever sent, so
+//! the hub applies frames as they arrive: a subscriber never observes
+//! state beyond what a restart would replay.
 //!
 //! ## Wire grammar
 //!
@@ -43,8 +38,6 @@
 //! bumps a lag counter instead of blocking the commit plane; the next
 //! drain appends an explicit `LAGGED <n>` notice so the consumer knows
 //! the stream has a gap and can re-baseline with a full `MINE`.
-//!
-//! [`GroupWal::commit_locked`]: crate::commit::GroupWal
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -205,7 +198,7 @@ fn miner_facts(m: &mut IncrementalMiner, max_lhs: usize) -> BTreeSet<String> {
 /// defines each subscription's exact baseline point.
 #[derive(Debug)]
 pub(crate) enum HubMsg {
-    /// A commit batch, durable on its shard: `(epoch, payload)` pairs.
+    /// A durable commit batch: `(epoch, payload)` pairs in epoch order.
     Batch(Vec<(u64, String)>),
     /// A new subscriber.
     Register(Arc<SubscriberShared>),
@@ -361,8 +354,9 @@ impl WatchHub {
 }
 
 struct Hub {
+    /// The epoch the next frame must carry (checked, in debug builds,
+    /// that epochs arrive contiguously).
     cursor: u64,
-    pending: BTreeMap<u64, String>,
     miners: BTreeMap<String, IncrementalMiner>,
     /// Last published fact set, per *watched* table. Presence of a key
     /// is what turns mining on for that table; unwatched tables only
@@ -374,7 +368,6 @@ struct Hub {
 fn hub_main(rx: Receiver<HubMsg>, preamble: Vec<String>, cursor: u64) {
     let mut hub = Hub {
         cursor,
-        pending: BTreeMap::new(),
         miners: BTreeMap::new(),
         facts: BTreeMap::new(),
         subs: Vec::new(),
@@ -386,9 +379,10 @@ fn hub_main(rx: Receiver<HubMsg>, preamble: Vec<String>, cursor: u64) {
         match msg {
             HubMsg::Batch(frames) => {
                 for (epoch, payload) in frames {
-                    hub.pending.insert(epoch, payload);
+                    debug_assert_eq!(epoch, hub.cursor, "commit epochs must be contiguous");
+                    hub.cursor = epoch + 1;
+                    hub.apply_script(&payload, Some(epoch));
                 }
-                hub.release();
             }
             HubMsg::Register(sub) => hub.register(sub),
             HubMsg::Unregister(id) => hub.unregister(id),
@@ -400,16 +394,6 @@ fn hub_main(rx: Receiver<HubMsg>, preamble: Vec<String>, cursor: u64) {
 }
 
 impl Hub {
-    /// Apply every contiguously-durable epoch. A missing epoch stalls
-    /// the stream: that is the watermark contract, not a bug.
-    fn release(&mut self) {
-        while let Some(payload) = self.pending.remove(&self.cursor) {
-            let epoch = self.cursor;
-            self.cursor += 1;
-            self.apply_script(&payload, Some(epoch));
-        }
-    }
-
     fn watched(&self, table: &str) -> bool {
         self.subs
             .iter()
@@ -563,42 +547,6 @@ mod tests {
         };
         assert_eq!(WatchEvent::parse(&gone.line()), Some(gone));
         assert_eq!(WatchEvent::parse("OK 0 fine"), None);
-    }
-
-    #[test]
-    fn contiguous_release_streams_fact_diffs_in_epoch_order() {
-        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE);
-        let sub = hub.subscribe(None);
-        // Out-of-order delivery: epochs 2 and 3 arrive before 1.
-        send(
-            &hub,
-            vec![
-                frame(2, "INSERT INTO t VALUES (1, 1);"),
-                frame(3, "INSERT INTO t VALUES (1, 2);"),
-            ],
-        );
-        hub.barrier();
-        assert!(sub.drain().is_empty(), "nothing released before epoch 1");
-        send(&hub, vec![frame(1, "CREATE TABLE t (a INT, b INT);")]);
-        hub.barrier();
-        let lines = sub.drain();
-        let events: Vec<WatchEvent> = lines
-            .iter()
-            .map(|l| WatchEvent::parse(l).expect("event line"))
-            .collect();
-        assert!(!events.is_empty());
-        // Epochs appear in commit order.
-        let epochs: Vec<u64> = events.iter().map(|e| e.epoch).collect();
-        let mut sorted = epochs.clone();
-        sorted.sort_unstable();
-        assert_eq!(epochs, sorted);
-        assert_eq!(epochs.first(), Some(&1));
-        assert_eq!(epochs.last(), Some(&3));
-        // Epoch 3 inserts (1,2) next to (1,1): b was constant (the
-        // minimal FD ∅ → b), and stops being determined at all.
-        assert!(events
-            .iter()
-            .any(|e| e.epoch == 3 && !e.appeared && e.fact == "pfd:->b"));
     }
 
     #[test]

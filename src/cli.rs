@@ -111,10 +111,10 @@ USAGE:
     sqlnf dataset <name> [seed]        emit an evaluation dataset as CSV
                                        (contact | contractor | fig7 | purchase)
     sqlnf serve [--port N] [--wal-dir DIR] [--workers N] [--snapshot-every N]
-                [--wal-shards N] [--commit-window-us N] [--fsync always|batch]
+                [--commit-window-us N]
                                        run the constraint-enforcing TCP server
-                                       (line protocol; group-commit WAL sharded
-                                       across N logs; see DESIGN.md §8)
+                                       (line protocol; one group-commit WAL,
+                                       one fsync per batch; see DESIGN.md §8)
     sqlnf client <host:port> [file.sql]
                                        run a scripted session against a server
                                        (reads stdin when no file is given;
@@ -133,7 +133,7 @@ USAGE:
                                        the default)
     sqlnf harness [--seed N | --seed A..=B] [--ops N] [--clients N]
                   [--kill-prob P] [--corrupt-prob P] [--watch]
-                  [--wal-shards N] [--commit-window-us N] [--fsync always|batch]
+                  [--commit-window-us N]
                                        seeded fault-injection + differential
                                        harness over the server, WAL and miner
                                        (deterministic per seed; failures print
@@ -337,29 +337,12 @@ fn parse_serve_config(args: &[String]) -> Result<sqlnf_serve::ServeConfig, CliEr
                     CliError::Usage(format!("bad --snapshot-every {v:?}\n\n{USAGE}"))
                 })?;
             }
-            "--wal-shards" => {
-                let v = need("--wal-shards", it.next())?;
-                config.wal_shards = match v.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        return Err(CliError::Usage(format!(
-                            "bad --wal-shards {v:?} (want an integer >= 1)\n\n{USAGE}"
-                        )))
-                    }
-                };
-            }
             "--commit-window-us" => {
                 let v = need("--commit-window-us", it.next())?;
                 let us: u64 = v.parse().map_err(|_| {
                     CliError::Usage(format!("bad --commit-window-us {v:?}\n\n{USAGE}"))
                 })?;
                 config.commit_window = std::time::Duration::from_micros(us);
-            }
-            "--fsync" => {
-                let v = need("--fsync", it.next())?;
-                config.fsync = v.parse().map_err(|_| {
-                    CliError::Usage(format!("bad --fsync {v:?} (always | batch)\n\n{USAGE}"))
-                })?;
             }
             other => {
                 return Err(CliError::Usage(format!(
@@ -711,27 +694,10 @@ fn parse_harness_args(
                     .parse()
                     .map_err(|_| CliError::Usage(format!("bad --corrupt-prob {v:?}\n\n{USAGE}")))?;
             }
-            "--wal-shards" => {
-                let v = need("--wal-shards", it.next())?;
-                config.wal_shards = match v.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        return Err(CliError::Usage(format!(
-                            "bad --wal-shards {v:?} (want an integer >= 1)\n\n{USAGE}"
-                        )))
-                    }
-                };
-            }
             "--commit-window-us" => {
                 let v = need("--commit-window-us", it.next())?;
                 config.commit_window_us = v.parse().map_err(|_| {
                     CliError::Usage(format!("bad --commit-window-us {v:?}\n\n{USAGE}"))
-                })?;
-            }
-            "--fsync" => {
-                let v = need("--fsync", it.next())?;
-                config.fsync = v.parse().map_err(|_| {
-                    CliError::Usage(format!("bad --fsync {v:?} (always | batch)\n\n{USAGE}"))
                 })?;
             }
             "--watch" => config.watch = true,
@@ -1225,36 +1191,14 @@ mod tests {
             cmd_serve(&argv(&["--wal-dir"])),
             Err(CliError::Usage(_))
         ));
-        // The group-commit knobs refuse malformed values.
-        assert!(matches!(
-            cmd_serve(&argv(&["--wal-shards", "0"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            cmd_serve(&argv(&["--wal-shards", "four"])),
-            Err(CliError::Usage(_))
-        ));
+        // The group-commit window refuses malformed values.
         assert!(matches!(
             cmd_serve(&argv(&["--commit-window-us", "-3"])),
             Err(CliError::Usage(_))
         ));
-        assert!(matches!(
-            cmd_serve(&argv(&["--fsync", "sometimes"])),
-            Err(CliError::Usage(_))
-        ));
-        // And accept well-formed ones.
-        let config = parse_serve_config(&argv(&[
-            "--wal-shards",
-            "4",
-            "--commit-window-us",
-            "200",
-            "--fsync",
-            "always",
-        ]))
-        .unwrap();
-        assert_eq!(config.wal_shards, 4);
+        // And accepts well-formed ones.
+        let config = parse_serve_config(&argv(&["--commit-window-us", "200"])).unwrap();
         assert_eq!(config.commit_window, std::time::Duration::from_micros(200));
-        assert_eq!(config.fsync, sqlnf_serve::FsyncMode::Always);
     }
 
     #[test]
@@ -1264,26 +1208,15 @@ mod tests {
         let (seeds, config) = parse_harness_args(&argv(&[
             "--seed",
             "2..=4",
-            "--wal-shards",
-            "4",
             "--commit-window-us",
             "200",
-            "--fsync",
-            "batch",
             "--watch",
         ]))
         .unwrap();
         assert_eq!(seeds, vec![2, 3, 4]);
-        assert_eq!(config.wal_shards, 4);
         assert_eq!(config.commit_window_us, 200);
-        assert_eq!(config.fsync, sqlnf_serve::FsyncMode::Batch);
         assert!(config.watch);
-        for bad in [
-            &["--wal-shards", "0"][..],
-            &["--commit-window-us", "soon"],
-            &["--fsync", "never"],
-            &["--fsync"],
-        ] {
+        for bad in [&["--commit-window-us", "soon"][..], &["--commit-window-us"]] {
             assert!(
                 matches!(parse_harness_args(&argv(bad)), Err(CliError::Usage(_))),
                 "{bad:?}"
