@@ -24,10 +24,17 @@ use sqlnf_model::prelude::*;
 /// Naive reference for the weak-pair probe: scan every row per
 /// null-bearing row.
 fn naive_cfd_holds(enc: &Encoded, rows: usize, x: AttrSet, a: Attr) -> bool {
-    use sqlnf_discovery::check::{fd_targets_holding, partition_for, Semantics};
+    use sqlnf_discovery::check::{fd_targets_holding, partition_for, ProbeCache, Semantics};
     // Partition part is shared; re-do the null probing naively.
     let p = partition_for(enc, x, Semantics::Possible);
-    let within = fd_targets_holding(enc, x, &p, AttrSet::single(a), Semantics::Possible);
+    let within = fd_targets_holding(
+        enc,
+        x,
+        &p,
+        AttrSet::single(a),
+        Semantics::Possible,
+        &ProbeCache::new(enc),
+    );
     if within.is_empty() {
         return false;
     }

@@ -83,11 +83,6 @@ impl ProbeIndex {
         }
     }
 
-    /// The attribute set this index probes.
-    pub fn x(&self) -> AttrSet {
-        self.x
-    }
-
     /// Whether any row carries `⊥` in `X` (if not, every probe is a
     /// trivial success).
     pub fn has_null_rows(&self) -> bool {
@@ -560,7 +555,7 @@ fn weak_targets_in_class(enc: &Encoded, class: &[u32], targets: AttrSet) -> Attr
 /// is refuted — on the last lattice level (where the partition would
 /// be thrown away anyway) a violated candidate usually dies within a
 /// handful of rows. Returns exactly what
-/// `fd_targets_holding(enc, x, &π_X, targets, sem)` would.
+/// `fd_targets_holding(enc, x, &π_X, targets, sem, probes)` would.
 #[allow(clippy::too_many_arguments)]
 pub fn fd_targets_on_refinement(
     enc: &Encoded,
@@ -580,7 +575,7 @@ pub fn fd_targets_on_refinement(
     // the class kernel directly.
     if sem == Semantics::Weak {
         let p = prefix.product_attr(enc, by, ns, scratch);
-        return fd_targets_holding(enc, x, &p, targets, sem);
+        return fd_targets_holding(enc, x, &p, targets, sem, probes);
     }
     let mut holding = targets;
     prefix.for_each_refined_pair(enc, by, ns, scratch, |head, r| {
@@ -607,13 +602,15 @@ pub fn fd_targets_on_refinement(
 /// subset of `targets` on which the FD holds. `partition` must be the
 /// grouping of `X` under the matching semantics (strong for
 /// [`Semantics::Possible`]/[`Semantics::Certain`], null-as-value for
-/// [`Semantics::Classical`]).
+/// [`Semantics::Classical`]). Certain FDs probe their weak pairs
+/// through `probes`; one-shot callers pass `&ProbeCache::new(enc)`.
 pub fn fd_targets_holding(
     enc: &Encoded,
     x: AttrSet,
     partition: &Partition,
     targets: AttrSet,
     sem: Semantics,
+    probes: &ProbeCache,
 ) -> AttrSet {
     let mut holding = targets;
 
@@ -649,55 +646,6 @@ pub fn fd_targets_holding(
     // Certain FDs additionally constrain rows with ⊥ in X: such a row
     // is weakly similar to every row matching its non-null part.
     if sem == Semantics::Certain && !holding.is_empty() {
-        probe_weak_pairs(enc, x, |r, s| {
-            let mut still = AttrSet::EMPTY;
-            for a in holding {
-                if enc.code(r, a) == enc.code(s, a) {
-                    still.insert(a);
-                }
-            }
-            holding = still;
-            !holding.is_empty()
-        });
-    }
-    holding
-}
-
-/// [`fd_targets_holding`] probing weak pairs through a [`ProbeCache`]
-/// instead of a fresh per-candidate [`ProbeIndex`].
-pub fn fd_targets_holding_cached(
-    enc: &Encoded,
-    x: AttrSet,
-    partition: &Partition,
-    targets: AttrSet,
-    sem: Semantics,
-    probes: &ProbeCache,
-) -> AttrSet {
-    let mut holding = targets;
-    for class in &partition.classes {
-        if holding.is_empty() {
-            break;
-        }
-        if sem == Semantics::Weak {
-            holding = weak_targets_in_class(enc, class, holding);
-            continue;
-        }
-        let first = class[0] as usize;
-        for &r in &class[1..] {
-            let r = r as usize;
-            let mut still = AttrSet::EMPTY;
-            for a in holding {
-                if enc.code(r, a) == enc.code(first, a) {
-                    still.insert(a);
-                }
-            }
-            holding = still;
-            if holding.is_empty() {
-                break;
-            }
-        }
-    }
-    if sem == Semantics::Certain && !holding.is_empty() {
         holding = probes.fd_targets(enc, x, holding);
     }
     holding
@@ -705,34 +653,17 @@ pub fn fd_targets_holding_cached(
 
 /// Whether `X` is a c-key of the encoded instance: no two rows weakly
 /// similar on `X`.
-pub fn is_ckey(enc: &Encoded, x: AttrSet, strong_partition: &Partition) -> bool {
-    // Any strong class of size ≥ 2 is already a weak violation.
-    if !strong_partition.is_empty() {
-        return false;
-    }
-    probe_weak_pairs(enc, x, |_, _| false)
-}
-
-/// [`is_ckey`] probing through a shared [`ProbeCache`].
 pub fn is_ckey_cached(
     enc: &Encoded,
     probes: &ProbeCache,
     x: AttrSet,
     strong_partition: &Partition,
 ) -> bool {
+    // Any strong class of size ≥ 2 is already a weak violation.
     if !strong_partition.is_empty() {
         return false;
     }
     probes.weak_pairs(enc, x, |_, _| false)
-}
-
-/// [`is_ckey`] against a prebuilt [`ProbeIndex`] — for callers that
-/// also run the reflexivity check on the same `X`.
-pub fn is_ckey_with(enc: &Encoded, idx: &ProbeIndex, strong_partition: &Partition) -> bool {
-    if !strong_partition.is_empty() {
-        return false;
-    }
-    idx.for_each_weak_pair(enc, |_, _| false)
 }
 
 /// Whether `X` is a p-key: no two rows strongly similar on `X`
@@ -745,17 +676,6 @@ pub fn is_pkey(strong_partition: &Partition) -> bool {
 /// upgrades a certain FD `X →_w Y` to the *total* FD `X →_w XY`
 /// (Definition 9). Rows without nulls in `X` satisfy it trivially
 /// (weak similarity = equality there); only null-bearing rows matter.
-pub fn certain_reflexive_holds(enc: &Encoded, x: AttrSet) -> bool {
-    probe_weak_pairs(enc, x, |r, s| enc.equal_on(r, s, x))
-}
-
-/// [`certain_reflexive_holds`] against a prebuilt [`ProbeIndex`].
-pub fn certain_reflexive_holds_with(enc: &Encoded, idx: &ProbeIndex) -> bool {
-    idx.for_each_weak_pair(enc, |r, s| enc.equal_on(r, s, idx.x()))
-}
-
-/// [`certain_reflexive_holds`] probing through a shared
-/// [`ProbeCache`].
 pub fn certain_reflexive_holds_cached(enc: &Encoded, probes: &ProbeCache, x: AttrSet) -> bool {
     probes.weak_pairs(enc, x, |r, s| enc.equal_on(r, s, x))
 }
@@ -793,7 +713,7 @@ pub fn partition_for(enc: &Encoded, x: AttrSet, sem: Semantics) -> Partition {
 /// miner uses [`fd_targets_holding`] with cached partitions).
 pub fn fd_holds(enc: &Encoded, x: AttrSet, a: Attr, sem: Semantics) -> bool {
     let p = partition_for(enc, x, sem);
-    !fd_targets_holding(enc, x, &p, AttrSet::single(a), sem).is_empty()
+    !fd_targets_holding(enc, x, &p, AttrSet::single(a), sem, &ProbeCache::new(enc)).is_empty()
 }
 
 #[cfg(test)]
@@ -823,7 +743,11 @@ mod tests {
         // But ic →_w i fails?? No: rows 1,2 weakly similar on ic, equal
         // on i. ic →_w c fails: unequal on c.
         assert!(fd_holds(&e, ic, s.a("i"), Semantics::Certain));
-        assert!(!certain_reflexive_holds(&e, ic));
+        assert!(!certain_reflexive_holds_cached(
+            &e,
+            &ProbeCache::new(&e),
+            ic
+        ));
         // Classical (null as value) also holds: groups (FS,Amazon),
         // (FS,⊥), (DD,K) each constant on price.
         assert!(fd_holds(&e, ic, pr, Semantics::Classical));
@@ -852,10 +776,10 @@ mod tests {
         let p = partition_for(&e, a, Semantics::Possible);
         assert!(is_pkey(&p));
         // ⊥ is weakly similar to both x and y → not a c-key.
-        assert!(!is_ckey(&e, a, &p));
+        assert!(!is_ckey_cached(&e, &ProbeCache::new(&e), a, &p));
         let ab = AttrSet::from_indices([0, 1]);
         let pab = partition_for(&e, ab, Semantics::Possible);
-        assert!(is_ckey(&e, ab, &pab));
+        assert!(is_ckey_cached(&e, &ProbeCache::new(&e), ab, &pab));
     }
 
     /// Exhaustive agreement with the naive pairwise checker over all
@@ -879,6 +803,7 @@ mod tests {
             }
             let t = Table::from_rows(schema.clone(), rows);
             let e = enc(&t);
+            let probes = ProbeCache::new(&e);
             for x in all.subsets() {
                 let strong = partition_for(&e, x, Semantics::Possible);
                 for a in all - x {
@@ -915,14 +840,14 @@ mod tests {
                     "pkey x={x:?}\n{t}"
                 );
                 assert_eq!(
-                    is_ckey(&e, x, &strong),
+                    is_ckey_cached(&e, &probes, x, &strong),
                     satisfies_key(&t, &Key::certain(x)),
                     "ckey x={x:?}\n{t}"
                 );
                 // X →_w X via the dedicated reflexive check.
                 let refl = Fd::certain(x, x);
                 assert_eq!(
-                    certain_reflexive_holds(&e, x),
+                    certain_reflexive_holds_cached(&e, &probes, x),
                     satisfies_fd(&t, &refl),
                     "refl x={x:?}\n{t}"
                 );
@@ -947,7 +872,7 @@ mod tests {
         ] {
             let p = partition_for(&e, x, sem);
             let targets = AttrSet::from_indices([1, 2, 3]);
-            let batch = fd_targets_holding(&e, x, &p, targets, sem);
+            let batch = fd_targets_holding(&e, x, &p, targets, sem, &ProbeCache::new(&e));
             for a in targets {
                 assert_eq!(batch.contains(a), fd_holds(&e, x, a, sem), "{sem:?} {a:?}");
             }

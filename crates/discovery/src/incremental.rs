@@ -1,101 +1,93 @@
-//! Incremental FD/key discovery over a live, mutating instance.
+//! Incremental FD/key discovery over a growing instance.
 //!
 //! The from-scratch miner ([`crate::mine`]) re-walks the whole candidate
 //! lattice per call. Under the serve tier's write traffic that is pure
-//! waste: one admitted row can only *break* FDs/keys that held (it adds
-//! pairs) and one deletion can only *repair* refuted ones (it removes
-//! pairs) — the verdicts of untouched candidates are still good. This
-//! module maintains exactly that: a verdict cache over the explored
-//! candidate frontier, invalidated by a small delta algebra, so a
-//! `MINE` after `k` admissions costs `O(k · touched candidates)` row
-//! work instead of a full lattice re-run.
+//! waste: the instance only grows (the wire carries `INSERT`, never
+//! `UPDATE` or `DELETE`), and an admitted row can only *break* FDs/keys
+//! that held — it adds pairs and never removes one. This module keeps a
+//! verdict cache over the explored candidate frontier, so a `MINE`
+//! after `k` admissions costs `O(k · touched candidates)` row work
+//! instead of a full lattice re-run.
 //!
-//! ## Delta algebra
+//! ## Verdicts
 //!
-//! Per delta we record three monotone marks: the epoch of the last
-//! insert, of the last delete, and per column the epoch of the last
-//! update that changed it. Verdicts are then validated per candidate:
-//!
-//! * **Holding** `X → A` (epoch `e`): still holds iff no insert since
-//!   `e` and no update touched a column of `X ∪ {A}` since `e`.
-//!   Deletions never break a holding FD/key — removing rows removes
-//!   violating pairs only.
-//! * **Refuted** `X → A` with witness pair `(r, s)`: still refuted iff
-//!   the two rows are live and *still violate by value* — a single
-//!   violating pair refutes regardless of every other row, so the
-//!   witness re-check is `O(|X|)` value comparisons, no scan. (This is
-//!   also why slot reuse would be sound: the check is semantic, not
-//!   identity-based.) Inserts can never un-refute.
+//! * **Refuted** is final. The violating pair stays in the instance, so
+//!   a refuted candidate needs one bit, not a witness to re-check.
+//! * **Holding** is stamped with the row count it was checked at. While
+//!   the instance still has that many rows the verdict stands. Once
+//!   more rows arrive, only pairs involving rows `stamp..len` are new,
+//!   so the verdict is re-validated against those rows alone — a
+//!   posting-list partner sweep, not a scan — then re-stamped or
+//!   refuted.
 //!
 //! Everything else (classification into nn/p/c/t/λ, key mining,
 //! projection ratios) replays the *exact* enumeration of the
 //! from-scratch path — same [`k_subsets`] order, same minimality
 //! bookkeeping, same checks on the cache misses — so the output is
 //! byte-identical to [`mine_report`] by construction, not by accident.
-//! The `incremental_matches_scratch` differential property pins this
-//! across all three semantics, random DML, and thread counts.
+//! The differential tests in `tests/incremental_diff.rs` pin this
+//! across all four semantics and random insert traces.
 //!
 //! ## Reconcile policy
 //!
 //! [`IncrementalMiner::with_reconcile_every`] arms a threshold: once
-//! that many deltas accumulate, the next report *also* runs the full
-//! from-scratch pipeline and asserts equivalence (panicking on any
-//! divergence), then resets the counter. `discovery.incr.reconciles`
+//! that many rows have been inserted since the last audit, the next
+//! report *also* runs the full from-scratch pipeline and asserts
+//! equivalence (panicking on any divergence). `discovery.incr.reconciles`
 //! counts these audits.
 
 use crate::cache::PartitionCtx;
-use crate::check::{fd_targets_holding_cached, is_pkey, null_semantics, ProbeCache, Semantics};
-use crate::classify::{projection_ratio, render_report, Classification, LambdaFd};
+use crate::check::{
+    certain_reflexive_holds_cached, fd_targets_holding, is_ckey_cached, is_pkey, null_semantics,
+    ProbeCache, Semantics,
+};
+use crate::classify::{mine_report, projection_ratio, render_report, Classification, LambdaFd};
 use crate::keys::MinedKeys;
 use crate::mine::{k_subsets, MinedFd};
-use crate::partition::{Encoded, NullSemantics, Partition};
+use crate::partition::{Encoded, NullSemantics};
 use sqlnf_model::attrs::{Attr, AttrSet};
-use sqlnf_model::column::ColumnStore;
 use sqlnf_model::schema::TableSchema;
 use sqlnf_model::table::Table;
 use sqlnf_model::tuple::Tuple;
-use sqlnf_model::value::Value;
 use std::collections::HashMap;
-
-/// Stable identifier of a row slot; never invalidated by other rows'
-/// deletions (the slot array is tombstoned, not compacted).
-pub type RowId = usize;
-
-/// One row-level mutation of the maintained instance.
-#[derive(Debug, Clone)]
-pub enum Delta {
-    /// Append a new row.
-    Insert(Tuple),
-    /// Replace the row in `row` with `tuple`.
-    Update {
-        /// Slot to overwrite (must be live).
-        row: RowId,
-        /// The replacement tuple.
-        tuple: Tuple,
-    },
-    /// Remove the row in `row`.
-    Delete {
-        /// Slot to tombstone (must be live).
-        row: RowId,
-    },
-}
+use std::ops::Range;
 
 /// A cached yes/no verdict about one candidate attribute set.
 #[derive(Debug, Clone, Copy)]
 enum Verdict {
-    /// Established at the given delta epoch.
-    Holds(u64),
-    /// Refuted by the (live) witness pair.
-    Fails(RowId, RowId),
+    /// Holds over the first `n` rows.
+    Holds(usize),
+    /// Refuted; final, since rows are never removed.
+    Fails,
+}
+
+impl Verdict {
+    fn of(holds: bool, rows: usize) -> Verdict {
+        if holds {
+            Verdict::Holds(rows)
+        } else {
+            Verdict::Fails
+        }
+    }
 }
 
 /// Per-candidate FD verdicts, one entry per target attribute.
 #[derive(Debug, Default)]
 struct FdVerdict {
-    /// Targets known to hold, with the epoch that established it.
-    holding: Vec<(Attr, u64)>,
-    /// Targets known refuted, with a witness pair.
-    refuted: Vec<(Attr, RowId, RowId)>,
+    /// Targets known to hold, with the row count they were checked at.
+    holding: Vec<(Attr, usize)>,
+    /// Targets known refuted.
+    refuted: AttrSet,
+}
+
+impl FdVerdict {
+    /// Records that the `checked` targets were checked over `rows` rows
+    /// and that `held` of them hold.
+    fn record(&mut self, checked: AttrSet, held: AttrSet, rows: usize) {
+        self.refuted |= checked - held;
+        self.holding.retain(|&(a, _)| !checked.contains(a));
+        self.holding.extend(held.iter().map(|a| (a, rows)));
+    }
 }
 
 /// Per-candidate key verdicts.
@@ -107,28 +99,25 @@ struct KeyVerdict {
     c: Option<Verdict>,
 }
 
-/// Snapshot of the delta marks a replay validates against.
-struct Marks<'a> {
-    insert: u64,
-    delete: u64,
-    cols: &'a [u64],
-}
-
-impl Marks<'_> {
-    /// Whether a holding verdict from epoch `at` over columns `cols`
-    /// survived every delta since: no insert, and no update touching
-    /// the columns.
-    fn holding_valid(&self, at: u64, cols: AttrSet) -> bool {
-        at >= self.insert && cols.iter().all(|c| at >= self.cols[c.index()])
-    }
-
-    /// Whether a holding verdict from epoch `at` is invalid *only*
-    /// because of inserts — no update has touched `cols` since. Such a
-    /// verdict still covers every pair of pre-delta rows (deletes only
-    /// remove pairs), so it can be re-validated against just the rows
-    /// inserted after `at` instead of rechecking the whole candidate.
-    fn only_inserts_since(&self, at: u64, cols: AttrSet) -> bool {
-        at < self.insert && cols.iter().all(|c| at >= self.cols[c.index()])
+/// The answer of `verdict` over `now` rows; `None` when nothing is
+/// cached. A holding verdict from fewer rows is re-validated by
+/// `survives(stamp..now)` — a check of the rows it has not seen — and
+/// re-stamped or refuted.
+fn settle(
+    verdict: &mut Option<Verdict>,
+    now: usize,
+    touched: &mut usize,
+    survives: impl FnOnce(Range<usize>) -> bool,
+) -> Option<bool> {
+    match (*verdict)? {
+        Verdict::Fails => Some(false),
+        Verdict::Holds(at) if at == now => Some(true),
+        Verdict::Holds(at) => {
+            *touched += 1;
+            let holds = survives(at..now);
+            *verdict = Some(Verdict::of(holds, now));
+            Some(holds)
+        }
     }
 }
 
@@ -175,131 +164,65 @@ fn sem_index(sem: Semantics) -> usize {
     }
 }
 
-fn strongly_similar(a: &Value, b: &Value) -> bool {
-    !a.is_null() && !b.is_null() && a == b
-}
-
-fn weakly_similar(a: &Value, b: &Value) -> bool {
-    a.is_null() || b.is_null() || a == b
-}
-
 /// Incrementally-maintained discovery state for one table.
 ///
-/// Feed it the same row stream the table sees ([`IncrementalMiner::
-/// apply`]); ask for mined FDs, keys or the full `MINE` report at any
-/// point. Reports are byte-identical to [`mine_report`] over the
-/// current rows.
+/// Feed it the rows the table admits ([`IncrementalMiner::insert`]);
+/// ask for mined FDs, keys or the full `MINE` report at any point.
+/// Reports are byte-identical to [`mine_report`] over the current rows.
 pub struct IncrementalMiner {
-    schema: TableSchema,
-    /// Tombstoned row slots; `None` = deleted. Stable [`RowId`]s index
-    /// into this.
-    slots: Vec<Option<Tuple>>,
-    live: usize,
-    /// Monotone delta counter; bumped once per applied delta.
-    epoch: u64,
-    last_insert: u64,
-    last_delete: u64,
-    /// Per column: epoch of the last update that changed it.
-    col_updated: Vec<u64>,
+    /// The maintained rows. Built by appends alone, its columnar codes
+    /// are exactly what [`Encoded::new`] assigns a fresh copy, so a
+    /// mine call wraps them in `O(arity)`.
+    table: Table,
+    /// Per column: code → ascending rows carrying it (code 0 = the
+    /// column's ⊥ rows), over rows `0..indexed` and caught up at each
+    /// mine call. The re-validation sweeps scan only the sparsest
+    /// matching list instead of the whole instance.
+    postings: Vec<FastMap<u32, Vec<usize>>>,
+    indexed: usize,
+    /// Row count at construction.
+    seeded: usize,
+    /// Row count at the last reconcile audit.
+    reconciled_at: usize,
+    reconcile_every: Option<u64>,
     /// Verdict caches per semantics
     /// (Classical/Possible/Certain/Weak).
     fd_cache: [HashMap<AttrSet, FdVerdict>; 4],
     key_cache: HashMap<AttrSet, KeyVerdict>,
     /// `X →_w X` (totality) verdicts, for the t-FD classification.
-    refl_cache: HashMap<AttrSet, Verdict>,
-    /// Projection-ratio memo: value + epoch it was computed at.
-    ratio_cache: HashMap<AttrSet, (f64, u64)>,
-    /// Warm dense view of the live rows (dictionary encoding + stable
-    /// slot ids), extended in `O(arity)` per insert, dropped on
-    /// update/delete and rebuilt lazily at the next mine. Without it
-    /// every mine call pays an `O(rows × arity)` clone + re-encode of
-    /// the whole instance — a wall-clock floor that would swallow the
-    /// savings of the verdict cache.
-    dense: Option<DenseView>,
-    /// `(epoch, slot)` of every insert, ascending in both — the rows a
-    /// verdict from epoch `e` has never seen are exactly the live
-    /// entries after the `partition_point` of `e`. One entry per
-    /// insert ever, matching the tombstoned `slots` growth.
-    insert_log: Vec<(u64, RowId)>,
-    deltas_since_reconcile: u64,
-    reconcile_every: Option<u64>,
-}
-
-/// See [`IncrementalMiner::dense`]. Store row `i` is the live row in
-/// slot `stable[i]`; the order is exactly [`IncrementalMiner::table`]'s
-/// row order, and the store is append-only between rebuilds, so its
-/// first-appearance codes are byte-identical to a fresh
-/// [`Encoded::new`] over that table.
-///
-/// The view owns a [`ColumnStore`] rather than a long-lived
-/// [`Encoded`]: mine calls take a *transient* snapshot and drop it
-/// before returning, so the next insert's `push` finds the column
-/// `Arc`s unshared and extends them in place (`O(arity)`). Holding the
-/// snapshot across inserts would instead force a copy-on-write column
-/// clone per push.
-struct DenseView {
-    store: ColumnStore,
-    stable: Vec<RowId>,
-    /// Per column: code → ascending dense rows carrying it (code 0 =
-    /// the column's ⊥ rows). The delta re-validation sweeps scan only
-    /// the sparsest matching list instead of the whole view.
-    postings: Vec<FastMap<u32, Vec<usize>>>,
-}
-
-impl DenseView {
-    fn build(store: ColumnStore, stable: Vec<RowId>) -> Self {
-        let mut postings: Vec<FastMap<u32, Vec<usize>>> = vec![FastMap::default(); store.arity()];
-        for row in 0..store.rows() {
-            for (ci, p) in postings.iter_mut().enumerate() {
-                p.entry(store.code_at(row, ci)).or_default().push(row);
-            }
-        }
-        DenseView {
-            store,
-            stable,
-            postings,
-        }
-    }
-
-    /// A transient `O(arity)` encoding snapshot for one mine call.
-    fn encode(&self) -> Encoded {
-        Encoded::from_snapshot(self.store.snapshot())
-    }
+    refl_cache: HashMap<AttrSet, Option<Verdict>>,
+    /// Projection-ratio memo: value + the row count it was computed at.
+    ratio_cache: HashMap<AttrSet, (f64, usize)>,
 }
 
 impl IncrementalMiner {
     /// An empty maintained instance over `schema`.
     pub fn new(schema: TableSchema) -> IncrementalMiner {
-        let arity = schema.arity();
+        IncrementalMiner::from_table(&Table::new(schema))
+    }
+
+    /// Seeds the maintained instance from an existing table; rows keep
+    /// the table's order.
+    pub fn from_table(table: &Table) -> IncrementalMiner {
+        // Re-appended rather than cloned: the copy owns its columns
+        // (later inserts extend them in place) and its codes are
+        // first-appearance ones whatever the source's history.
+        let table = Table::from_rows(table.schema().clone(), table.rows().iter().cloned());
         IncrementalMiner {
-            schema,
-            slots: Vec::new(),
-            live: 0,
-            epoch: 0,
-            last_insert: 0,
-            last_delete: 0,
-            col_updated: vec![0; arity],
+            postings: vec![FastMap::default(); table.schema().arity()],
+            indexed: 0,
+            seeded: table.len(),
+            reconciled_at: table.len(),
+            reconcile_every: None,
             fd_cache: Default::default(),
             key_cache: HashMap::new(),
             refl_cache: HashMap::new(),
             ratio_cache: HashMap::new(),
-            dense: None,
-            insert_log: Vec::new(),
-            deltas_since_reconcile: 0,
-            reconcile_every: None,
+            table,
         }
     }
 
-    /// Seeds the maintained instance from an existing table; rows get
-    /// [`RowId`]s `0..len` in table order.
-    pub fn from_table(table: &Table) -> IncrementalMiner {
-        let mut m = IncrementalMiner::new(table.schema().clone());
-        m.slots.extend(table.rows().iter().cloned().map(Some));
-        m.live = m.slots.len();
-        m
-    }
-
-    /// Arms the reconcile threshold: after `every` deltas the next
+    /// Arms the reconcile threshold: after `every` inserts the next
     /// report also runs the full pipeline and asserts equivalence.
     pub fn with_reconcile_every(mut self, every: u64) -> IncrementalMiner {
         self.reconcile_every = Some(every);
@@ -308,311 +231,238 @@ impl IncrementalMiner {
 
     /// The schema of the maintained instance.
     pub fn schema(&self) -> &TableSchema {
-        &self.schema
+        self.table.schema()
     }
 
-    /// Number of live rows.
+    /// Number of rows.
     pub fn len(&self) -> usize {
-        self.live
+        self.table.len()
     }
 
-    /// Whether no live rows remain.
+    /// Whether no rows have been seeded or inserted.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.table.is_empty()
     }
 
-    /// Deltas applied since construction.
+    /// Inserts since construction.
     pub fn deltas_applied(&self) -> u64 {
-        self.epoch
+        (self.table.len() - self.seeded) as u64
     }
 
-    /// The live rows as a [`Table`], in stable slot order. This is what
-    /// every report mines; its row multiset always equals the table the
-    /// deltas were mirrored from (row *order* is irrelevant to every
-    /// mined artifact).
+    /// The rows as a [`Table`], in insertion order. This is what every
+    /// report mines.
     pub fn table(&self) -> Table {
-        Table::from_rows(self.schema.clone(), self.slots.iter().flatten().cloned())
+        self.table.clone()
     }
 
-    /// Appends a row, returning its stable id.
-    pub fn insert(&mut self, tuple: Tuple) -> RowId {
+    /// Appends a row, returning its row index.
+    pub fn insert(&mut self, tuple: Tuple) -> usize {
         let _apply = sqlnf_obs::span!("discovery.incr.apply");
-        self.begin_delta();
-        self.last_insert = self.epoch;
-        if let Some(dense) = self.dense.as_mut() {
-            dense.store.push(&tuple);
-            let row = dense.store.rows() - 1;
-            for (ci, p) in dense.postings.iter_mut().enumerate() {
-                p.entry(dense.store.code_at(row, ci)).or_default().push(row);
-            }
-            dense.stable.push(self.slots.len());
-        }
-        self.insert_log.push((self.epoch, self.slots.len()));
-        self.slots.push(Some(tuple));
-        self.live += 1;
-        self.slots.len() - 1
-    }
-
-    /// Replaces a live row; returns `false` (and applies nothing) if
-    /// the slot is dead or out of range. Only columns whose value
-    /// actually changed are marked dirty.
-    pub fn update(&mut self, row: RowId, tuple: Tuple) -> bool {
-        let _apply = sqlnf_obs::span!("discovery.incr.apply");
-        let Some(Some(old)) = self.slots.get(row) else {
-            return false;
-        };
-        let changed: AttrSet = (0..self.schema.arity())
-            .map(Attr::from)
-            .filter(|&a| old.get(a) != tuple.get(a))
-            .collect();
-        self.begin_delta();
-        let epoch = self.epoch;
-        for a in changed {
-            self.col_updated[a.index()] = epoch;
-        }
-        self.slots[row] = Some(tuple);
-        self.dense = None;
-        true
-    }
-
-    /// Tombstones a live row; returns `false` if it was not live.
-    pub fn delete(&mut self, row: RowId) -> bool {
-        let _apply = sqlnf_obs::span!("discovery.incr.apply");
-        match self.slots.get_mut(row) {
-            Some(slot) if slot.is_some() => {
-                *slot = None;
-                self.live -= 1;
-                self.dense = None;
-                self.begin_delta();
-                self.last_delete = self.epoch;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Applies one [`Delta`]; returns the inserted row's id for
-    /// inserts.
-    pub fn apply(&mut self, delta: Delta) -> Option<RowId> {
-        match delta {
-            Delta::Insert(t) => Some(self.insert(t)),
-            Delta::Update { row, tuple } => {
-                self.update(row, tuple);
-                None
-            }
-            Delta::Delete { row } => {
-                self.delete(row);
-                None
-            }
-        }
-    }
-
-    fn begin_delta(&mut self) {
         sqlnf_obs::count!("discovery.incr.deltas");
-        self.epoch += 1;
-        self.deltas_since_reconcile += 1;
+        self.table.push(tuple);
+        self.table.len() - 1
     }
 
-    /// Whether the witness pair still violates `X → A` (rows live and
-    /// similar on `X` per `sem`, unequal on `a`). Purely semantic: any
-    /// live violating pair refutes, whatever its history.
-    fn pair_violates_fd(
-        slots: &[Option<Tuple>],
-        r: RowId,
-        s: RowId,
-        x: AttrSet,
-        a: Attr,
-        sem: Semantics,
-    ) -> bool {
-        let (Some(Some(tr)), Some(Some(ts))) = (slots.get(r), slots.get(s)) else {
-            return false;
-        };
-        if !Self::pair_similar(tr, ts, x, sem) {
-            return false;
-        }
-        match sem {
-            // A weak violation needs a conflict no completion can fix:
-            // both values present and distinct (a ⊥ is filled with the
-            // partner's value).
-            Semantics::Weak => {
-                let (va, vb) = (tr.get(a), ts.get(a));
-                !va.is_null() && !vb.is_null() && va != vb
+    /// A transient `O(arity)` encoding of the rows for one mine call,
+    /// with the postings caught up to it. Callers drop it before
+    /// returning, so the next insert finds the column `Arc`s unshared
+    /// and extends them in place; holding it across inserts would
+    /// force a copy-on-write column clone per push.
+    fn encode(&mut self) -> Encoded {
+        let enc = Encoded::new(&self.table);
+        for row in self.indexed..enc.rows() {
+            for (ci, p) in self.postings.iter_mut().enumerate() {
+                p.entry(enc.code(row, Attr::from(ci)))
+                    .or_default()
+                    .push(row);
             }
-            _ => tr.get(a) != ts.get(a),
         }
+        self.indexed = enc.rows();
+        enc
     }
 
-    /// LHS-similarity of two live tuples under the mining semantics:
-    /// syntactic equality (⊥ = ⊥) classically, strong similarity for
-    /// possible FDs, weak similarity for certain FDs. Weak FDs only
-    /// ever constrain `X`-total pairs (an `X`-incomplete row is
-    /// completed apart with fresh values), so their pair notion is
-    /// strong similarity too.
-    fn pair_similar(tr: &Tuple, ts: &Tuple, x: AttrSet, sem: Semantics) -> bool {
-        x.iter().all(|c| match sem {
-            Semantics::Classical => tr.get(c) == ts.get(c),
-            Semantics::Possible | Semantics::Weak => strongly_similar(tr.get(c), ts.get(c)),
-            Semantics::Certain => weakly_similar(tr.get(c), ts.get(c)),
-        })
+    /// Mines the minimal FDs under `sem`, replaying the lattice against
+    /// the verdict cache. Byte-identical (content and order) to
+    /// `mine_fds` over [`IncrementalMiner::table`].
+    pub fn mine_fds(
+        &mut self,
+        sem: Semantics,
+        max_lhs: usize,
+        cache_budget: usize,
+    ) -> Vec<MinedFd> {
+        let enc = self.encode();
+        let view = View::new(&enc, &self.postings);
+        let mut ctx = PartitionCtx::with_budget(&enc, null_semantics(sem), cache_budget);
+        let fds = view.replay_fds(&mut self.fd_cache[sem_index(sem)], &mut ctx, sem, max_lhs);
+        self.note_frontier();
+        fds
     }
 
-    /// Whether a witness pair still refutes `X` as a key: possible keys
-    /// fall to a strongly-similar pair, certain keys to a weakly-similar
-    /// one.
-    fn pair_violates_key(
-        slots: &[Option<Tuple>],
-        r: RowId,
-        s: RowId,
-        x: AttrSet,
-        certain: bool,
-    ) -> bool {
-        let (Some(Some(tr)), Some(Some(ts))) = (slots.get(r), slots.get(s)) else {
-            return false;
+    /// Mines the minimal p-/c-keys; identical to `mine_keys_budgeted`
+    /// over [`IncrementalMiner::table`].
+    pub fn mine_keys(&mut self, max_size: usize, cache_budget: usize) -> MinedKeys {
+        let enc = self.encode();
+        let view = View::new(&enc, &self.postings);
+        let mut ctx = PartitionCtx::with_budget(&enc, NullSemantics::Strong, cache_budget);
+        let keys = view.replay_keys(&mut self.key_cache, &mut ctx, max_size);
+        self.note_frontier();
+        keys
+    }
+
+    /// The classification + keys backing one `MINE` report — the
+    /// incremental mirror of `classify_table_budgeted` +
+    /// `mine_keys_budgeted`.
+    pub fn classify(&mut self, max_lhs: usize, cache_budget: usize) -> (Classification, MinedKeys) {
+        let enc = self.encode();
+        let view = View::new(&enc, &self.postings);
+        let null_free = enc.null_free_columns();
+        let mut ctx = PartitionCtx::with_budget(&enc, NullSemantics::Strong, cache_budget);
+        let mut touched = 0usize;
+        let possible = view.replay_fds(
+            &mut self.fd_cache[sem_index(Semantics::Possible)],
+            &mut ctx,
+            Semantics::Possible,
+            max_lhs,
+        );
+        let certain = view.replay_fds(
+            &mut self.fd_cache[sem_index(Semantics::Certain)],
+            &mut ctx,
+            Semantics::Certain,
+            max_lhs,
+        );
+        // Memoized `projection_ratio` over the current rows.
+        let mut ratio = |attrs: AttrSet| match self.ratio_cache.get(&attrs) {
+            Some(&(ratio, at)) if at == self.table.len() => ratio,
+            _ => {
+                let ratio = projection_ratio(&self.table, attrs);
+                self.ratio_cache.insert(attrs, (ratio, self.table.len()));
+                ratio
+            }
         };
-        x.iter().all(|c| {
-            if certain {
-                weakly_similar(tr.get(c), ts.get(c))
+
+        let mut out = Classification::default();
+        for fd in possible {
+            if fd.lhs.is_subset(null_free) {
+                let (_, ckey) =
+                    view.key_status(&mut self.key_cache, &mut ctx, fd.lhs, &mut touched);
+                if !ckey {
+                    out.nn_nonkey_ratios.push(ratio(fd.lhs | fd.rhs));
+                }
+                out.nn_fds.push(fd);
             } else {
-                strongly_similar(tr.get(c), ts.get(c))
-            }
-        })
-    }
-
-    /// Whether a witness pair still refutes totality `X →_w X`: weakly
-    /// similar on `X` but not syntactically equal on it.
-    fn pair_violates_reflexive(slots: &[Option<Tuple>], r: RowId, s: RowId, x: AttrSet) -> bool {
-        let (Some(Some(tr)), Some(Some(ts))) = (slots.get(r), slots.get(s)) else {
-            return false;
-        };
-        x.iter().all(|c| weakly_similar(tr.get(c), ts.get(c)))
-            && x.iter().any(|c| tr.get(c) != ts.get(c))
-    }
-
-    /// Finds a violating pair for each refuted target of `x` — the
-    /// witnesses the next replay validates instead of re-scanning. Every
-    /// requested target is guaranteed a witness (the check just refuted
-    /// it over the same data).
-    #[allow(clippy::too_many_arguments)]
-    fn find_fd_witnesses(
-        enc: &Encoded,
-        probes: &ProbeCache,
-        stable: &[RowId],
-        x: AttrSet,
-        p: &Partition,
-        mut want: AttrSet,
-        sem: Semantics,
-        out: &mut Vec<(Attr, RowId, RowId)>,
-    ) {
-        if sem == Semantics::Weak {
-            // The witness must be a *non-null* disagreement: comparing
-            // against the class head would hand out a pair a completion
-            // could repair (the head may carry ⊥ on the target), so
-            // track the first non-null code per target instead.
-            'weak_classes: for class in &p.classes {
-                let mut got = AttrSet::EMPTY;
-                for a in want {
-                    let mut seen: Option<usize> = None;
-                    for &r in class {
-                        let r = r as usize;
-                        let c = enc.code(r, a);
-                        if c == 0 {
-                            continue;
-                        }
-                        match seen {
-                            None => seen = Some(r),
-                            Some(f) if enc.code(f, a) != c => {
-                                out.push((a, stable[f], stable[r]));
-                                got.insert(a);
-                                break;
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                }
-                want = want - got;
-                if want.is_empty() {
-                    break 'weak_classes;
-                }
-            }
-            debug_assert!(want.is_empty(), "refuted target without witness: {want:?}");
-            return;
-        }
-        'classes: for class in &p.classes {
-            let first = class[0] as usize;
-            for &r in &class[1..] {
-                let r = r as usize;
-                let mut got = AttrSet::EMPTY;
-                for a in want {
-                    if enc.code(r, a) != enc.code(first, a) {
-                        out.push((a, stable[first], stable[r]));
-                        got.insert(a);
-                    }
-                }
-                want = want - got;
-                if want.is_empty() {
-                    break 'classes;
-                }
+                out.p_fds.push(fd);
             }
         }
-        if sem == Semantics::Certain && !want.is_empty() {
-            probes.weak_pairs(enc, x, |r, s| {
-                let mut got = AttrSet::EMPTY;
-                for a in want {
-                    if enc.code(r, a) != enc.code(s, a) {
-                        out.push((a, stable[r], stable[s]));
-                        got.insert(a);
-                    }
+        for fd in certain {
+            if fd.lhs.is_subset(null_free) {
+                continue; // coincides with an nn-FD; counted there
+            }
+            if view.is_total(&mut self.refl_cache, fd.lhs, &mut touched) {
+                out.t_fds.push(fd.clone());
+                let (_, ckey) =
+                    view.key_status(&mut self.key_cache, &mut ctx, fd.lhs, &mut touched);
+                if !fd.rhs.is_empty() && !ckey {
+                    out.lambda_fds.push(LambdaFd {
+                        lhs: fd.lhs,
+                        rhs: fd.rhs,
+                        relative_projection_size: ratio(fd.lhs | fd.rhs),
+                    });
                 }
-                want = want - got;
-                !want.is_empty()
-            });
+            }
+            out.c_fds.push(fd);
         }
-        debug_assert!(want.is_empty(), "refuted target without witness: {want:?}");
+
+        let keys = view.replay_keys(&mut self.key_cache, &mut ctx, max_lhs);
+        sqlnf_obs::count!("discovery.incr.candidates_touched", touched);
+        self.note_frontier();
+        (out, keys)
     }
 
-    /// Dense indices (ascending) of the live rows inserted after
-    /// `since` — the only rows that can carry a pair unseen by a
-    /// verdict stamped at `since`.
-    /// Memoizing wrapper around [`Self::delta_dense_since`]: within one
-    /// replay most stale verdicts share the epoch of the previous mine,
-    /// so the delta row set is computed once, not per candidate.
-    fn delta_since_memo<'m>(
-        log: &[(u64, RowId)],
-        slots: &[Option<Tuple>],
-        stable: &[RowId],
-        since: u64,
-        memo: &'m mut Option<(u64, Vec<usize>)>,
-    ) -> &'m [usize] {
-        if memo.as_ref().is_none_or(|(s, _)| *s != since) {
-            *memo = Some((since, Self::delta_dense_since(log, slots, stable, since)));
+    /// The `MINE` report over the rows, byte-identical to
+    /// [`mine_report`] over [`IncrementalMiner::table`]. When the
+    /// reconcile threshold is armed and tripped, also runs the full
+    /// from-scratch pipeline and asserts equivalence.
+    pub fn report(&mut self, name: &str, max_lhs: usize, cache_budget: usize) -> String {
+        let due = self
+            .reconcile_every
+            .is_some_and(|n| (self.table.len() - self.reconciled_at) as u64 >= n);
+        if due {
+            return self.reconcile(name, max_lhs, cache_budget);
         }
-        &memo.as_ref().expect("just filled").1
+        let (cls, keys) = self.classify(max_lhs, cache_budget);
+        render_report(name, self.len(), self.schema(), max_lhs, &cls, &keys)
     }
 
-    fn delta_dense_since(
-        log: &[(u64, RowId)],
-        slots: &[Option<Tuple>],
-        stable: &[RowId],
-        since: u64,
-    ) -> Vec<usize> {
-        let start = log.partition_point(|&(e, _)| e <= since);
-        log[start..]
-            .iter()
-            .filter(|&&(_, slot)| slots.get(slot).is_some_and(Option::is_some))
-            .map(|&(_, slot)| {
-                stable
-                    .binary_search(&slot)
-                    .expect("live slot missing from the dense view")
-            })
-            .collect()
+    /// Full-pipeline audit: runs both the incremental replay and the
+    /// from-scratch mine, asserts they render the same report, resets
+    /// the reconcile counter, and returns the report. Panics on any
+    /// divergence — an incremental-state bug must never ship a wrong
+    /// answer silently.
+    pub fn reconcile(&mut self, name: &str, max_lhs: usize, cache_budget: usize) -> String {
+        sqlnf_obs::count!("discovery.incr.reconciles");
+        let (cls, keys) = self.classify(max_lhs, cache_budget);
+        let incr = render_report(name, self.len(), self.schema(), max_lhs, &cls, &keys);
+        let full = mine_report(name, &self.table, max_lhs, cache_budget);
+        assert_eq!(
+            incr,
+            full,
+            "incremental reconcile mismatch on {name} after {} deltas",
+            self.deltas_applied()
+        );
+        self.reconciled_at = self.table.len();
+        incr
     }
 
-    /// The code projection of dense row `row` onto `attrs`, written
-    /// into `buf`.
-    fn key_on(enc: &Encoded, row: usize, attrs: AttrSet, buf: &mut Vec<u32>) {
-        buf.clear();
-        for a in attrs {
-            buf.push(enc.code(row, a));
+    fn note_frontier(&self) {
+        let frontier: usize = self.fd_cache.iter().map(HashMap::len).sum::<usize>()
+            + self.key_cache.len()
+            + self.refl_cache.len();
+        sqlnf_obs::count_max!("discovery.incr.frontier_size", frontier);
+    }
+}
+
+/// What one mine call reads: the encoded rows, their postings and the
+/// weak-pair probe cache.
+struct View<'a> {
+    enc: &'a Encoded,
+    postings: &'a [FastMap<u32, Vec<usize>>],
+    probes: ProbeCache,
+}
+
+/// The code projection of row `row` onto `attrs`, written into `buf`.
+fn key_on(enc: &Encoded, row: usize, attrs: AttrSet, buf: &mut Vec<u32>) {
+    buf.clear();
+    for a in attrs {
+        buf.push(enc.code(row, a));
+    }
+}
+
+/// Folds one row into the weak-semantics tracking state: `tracked`
+/// holds, per target, the first non-null code seen (0 = none yet); a
+/// later row with a *different* non-null code is a genuine violating
+/// pair (no completion can reconcile two present, distinct values) and
+/// marks the target `dead`. Rows with ⊥ on a target are skipped — the
+/// weak completion absorbs them.
+fn weak_note_row(enc: &Encoded, row: usize, tracked: &mut [(Attr, u32)], dead: &mut AttrSet) {
+    for (a, seen) in tracked.iter_mut() {
+        let c = enc.code(row, *a);
+        if c == 0 || dead.contains(*a) {
+            continue;
+        }
+        if *seen == 0 {
+            *seen = c;
+        } else if *seen != c {
+            dead.insert(*a);
+        }
+    }
+}
+
+impl<'a> View<'a> {
+    fn new(enc: &'a Encoded, postings: &'a [FastMap<u32, Vec<usize>>]) -> View<'a> {
+        View {
+            enc,
+            postings,
+            probes: ProbeCache::new(enc),
         }
     }
 
@@ -620,12 +470,9 @@ impl IncrementalMiner {
     /// vector `kv` (parallel to `x`'s iteration order); `None` when
     /// some column has no row carrying the required code — no partner
     /// can match at all.
-    fn sparsest_posting<'p>(
-        postings: &'p [FastMap<u32, Vec<usize>>],
-        x: AttrSet,
-        kv: &[u32],
-    ) -> Option<&'p Vec<usize>> {
-        let mut best: Option<&'p Vec<usize>> = None;
+    fn sparsest_posting(&self, x: AttrSet, kv: &[u32]) -> Option<&'a Vec<usize>> {
+        let postings = self.postings;
+        let mut best: Option<&'a Vec<usize>> = None;
         for (i, a) in x.iter().enumerate() {
             let list = postings[a.index()].get(&kv[i])?;
             if best.is_none_or(|b: &Vec<usize>| list.len() < b.len()) {
@@ -641,18 +488,18 @@ impl IncrementalMiner {
     /// dropped — ⊥ is strongly similar to nothing, and the weak
     /// completion isolates such rows with fresh values.
     fn delta_groups(
-        enc: &Encoded,
-        delta: &[usize],
+        &self,
+        delta: Range<usize>,
         x: AttrSet,
         sem: Semantics,
     ) -> FastMap<Vec<u32>, Vec<usize>> {
         let mut key = Vec::new();
         let mut groups: FastMap<Vec<u32>, Vec<usize>> = FastMap::default();
-        for &r in delta {
-            if matches!(sem, Semantics::Possible | Semantics::Weak) && !enc.is_total_on(r, x) {
+        for r in delta {
+            if matches!(sem, Semantics::Possible | Semantics::Weak) && !self.enc.is_total_on(r, x) {
                 continue;
             }
-            Self::key_on(enc, r, x, &mut key);
+            key_on(self.enc, r, x, &mut key);
             match groups.get_mut(key.as_slice()) {
                 Some(g) => g.push(r),
                 None => {
@@ -663,20 +510,18 @@ impl IncrementalMiner {
         groups
     }
 
-    /// Visits every dense row `sem`-similar on `x` to the projection
-    /// `kv` (carried by delta row `r0`), charging each visit to
-    /// `scanned`. Stops — returning `false` — when `f` does. The
-    /// visited rows include `r0` itself and any other delta row with a
-    /// similar projection; callers decide whether self-pairs matter.
+    /// Visits every row `sem`-similar on `x` to the projection `kv`
+    /// (carried by delta row `r0`), charging each visit to `scanned`.
+    /// Stops — returning `false` — when `f` does. The visited rows
+    /// include `r0` itself and any other delta row with a similar
+    /// projection; callers decide whether self-pairs matter.
     ///
-    /// Partners come from the dense view's posting lists, so work is
-    /// proportional to the classes the projection actually lands in —
-    /// not to the instance. This is what makes a re-mine after a small
-    /// delta cheap in *wall clock*, not just in rows scanned.
-    #[allow(clippy::too_many_arguments)]
+    /// Partners come from the posting lists, so work is proportional to
+    /// the classes the projection actually lands in — not to the
+    /// instance. This is what makes a re-mine after a small delta cheap
+    /// in *wall clock*, not just in rows scanned.
     fn for_each_partner(
-        enc: &Encoded,
-        postings: &[FastMap<u32, Vec<usize>>],
+        &self,
         x: AttrSet,
         kv: &[u32],
         r0: usize,
@@ -684,6 +529,7 @@ impl IncrementalMiner {
         scanned: &mut usize,
         mut f: impl FnMut(usize) -> bool,
     ) -> bool {
+        let (enc, postings) = (self.enc, self.postings);
         match sem {
             Semantics::Classical | Semantics::Possible | Semantics::Weak => {
                 // Similarity is plain code equality on `x`: scan the
@@ -693,7 +539,7 @@ impl IncrementalMiner {
                 // possible or weak projection is x-total (incomplete
                 // delta rows were dropped), so any row matching its
                 // all-nonzero codes is too.
-                let Some(list) = Self::sparsest_posting(postings, x, kv) else {
+                let Some(list) = self.sparsest_posting(x, kv) else {
                     return true;
                 };
                 for &s in list {
@@ -710,8 +556,8 @@ impl IncrementalMiner {
                 // cheapest match∪null posting pair bounds the scan and
                 // the remaining columns are verified pairwise. A
                 // projection that is ⊥ on all of `x` is weakly similar
-                // to everything and must scan the whole view (bounded
-                // by such rows in the delta).
+                // to everything and must scan the whole instance
+                // (bounded by such rows in the delta).
                 let mut choice: Option<(Attr, u32, usize)> = None;
                 for (i, a) in x.iter().enumerate() {
                     let c = kv[i];
@@ -748,18 +594,17 @@ impl IncrementalMiner {
         true
     }
 
-    /// Visits every `sem`-similar pair `(r, s)` of dense rows with `r`
-    /// drawn from `delta` — exactly the pairs that a verdict predating
-    /// the delta rows has never seen. Calls `f` for each; stops early —
-    /// and returns `false` — when `f` returns `false`. A pair with both
+    /// Visits every `sem`-similar pair `(r, s)` with `r` drawn from
+    /// `delta` — exactly the pairs that a verdict predating the delta
+    /// rows has never seen. Calls `f` for each; stops early — and
+    /// returns `false` — when `f` returns `false`. A pair with both
     /// rows in `delta` may be visited in both orientations; callers
     /// hunt for a single violation, so the duplicate is harmless. Rows
     /// visited are charged to `discovery.partition.rows_scanned` like
     /// every other check path.
     fn for_each_delta_pair(
-        enc: &Encoded,
-        postings: &[FastMap<u32, Vec<usize>>],
-        delta: &[usize],
+        &self,
+        delta: Range<usize>,
         x: AttrSet,
         sem: Semantics,
         mut f: impl FnMut(usize, usize) -> bool,
@@ -772,91 +617,37 @@ impl IncrementalMiner {
             // the empty key candidate lands here, and it dies to the
             // first pair, so the scan is O(1) in practice.
             let mut scanned = 0usize;
-            let mut complete = true;
-            'empty: for &r in delta {
-                for s in 0..enc.rows() {
+            let complete = delta.into_iter().all(|r| {
+                (0..self.enc.rows()).all(|s| {
                     scanned += 1;
-                    if r != s && !f(r, s) {
-                        complete = false;
-                        break 'empty;
-                    }
-                }
-            }
+                    r == s || f(r, s)
+                })
+            });
             sqlnf_obs::count!("discovery.partition.rows_scanned", scanned);
             return complete;
         }
         let mut scanned = delta.len();
-        let groups = Self::delta_groups(enc, delta, x, sem);
-        let mut complete = true;
-        for (kv, group) in &groups {
-            let done =
-                Self::for_each_partner(enc, postings, x, kv, group[0], sem, &mut scanned, |s| {
-                    for &r in group {
-                        if r != s && !f(r, s) {
-                            return false;
-                        }
-                    }
-                    true
-                });
-            if !done {
-                complete = false;
-                break;
-            }
-        }
+        let groups = self.delta_groups(delta, x, sem);
+        let complete = groups.iter().all(|(kv, group)| {
+            self.for_each_partner(x, kv, group[0], sem, &mut scanned, |s| {
+                group.iter().all(|&r| r == s || f(r, s))
+            })
+        });
         sqlnf_obs::count!("discovery.partition.rows_scanned", scanned);
         complete
     }
 
-    /// Folds one class row into the weak-semantics tracking state:
-    /// `tracked` holds, per target, the first dense row seen carrying a
-    /// non-null code; a later row with a *different* non-null code is a
-    /// genuine violating pair (no completion can reconcile two present,
-    /// distinct values), recorded in `refuted` and `dead`. Rows with ⊥
-    /// on a target are skipped — the weak completion absorbs them.
-    fn weak_note_row(
-        enc: &Encoded,
-        stable: &[RowId],
-        row: usize,
-        tracked: &mut [(Attr, Option<usize>)],
-        dead: &mut AttrSet,
-        refuted: &mut Vec<(Attr, RowId, RowId)>,
-    ) {
-        for (a, first) in tracked.iter_mut() {
-            if dead.contains(*a) {
-                continue;
-            }
-            let c = enc.code(row, *a);
-            if c == 0 {
-                continue;
-            }
-            match first {
-                None => *first = Some(row),
-                Some(f) if enc.code(*f, *a) != c => {
-                    refuted.push((*a, stable[*f], stable[row]));
-                    dead.insert(*a);
-                }
-                Some(_) => {}
-            }
-        }
-    }
-
-    /// Re-validates previously-holding targets of `X → ·` against only
-    /// the delta-involved pairs. Returns the surviving targets; each
-    /// refuted one is appended to `refuted` with a live witness pair
-    /// (slot ids). Sound because deletes only remove pairs and the
-    /// caller has checked that no update touched `X` or a target since
-    /// the verdicts were stamped.
-    #[allow(clippy::too_many_arguments)]
-    fn delta_targets_surviving(
-        enc: &Encoded,
-        postings: &[FastMap<u32, Vec<usize>>],
-        stable: &[RowId],
-        delta: &[usize],
+    /// The subset of `targets` of `X → ·` that survives every pair with
+    /// a row in `delta`. Sound for targets that held before the delta
+    /// rows arrived: those pairs are the only new ones.
+    fn targets_surviving(
+        &self,
+        delta: Range<usize>,
         x: AttrSet,
         targets: AttrSet,
         sem: Semantics,
-        refuted: &mut Vec<(Attr, RowId, RowId)>,
     ) -> AttrSet {
+        let enc = self.enc;
         let mut holding = targets;
         if delta.is_empty() {
             return holding;
@@ -866,42 +657,35 @@ impl IncrementalMiner {
             // the FD survives iff the column is still constant — one
             // early-exit column scan. Weakly, "constant" tolerates ⊥:
             // only two distinct non-null codes kill the target.
+            let mut scanned = 0usize;
             if sem == Semantics::Weak {
-                let mut scanned = 0usize;
-                let mut tracked: Vec<(Attr, Option<usize>)> =
-                    holding.iter().map(|a| (a, None)).collect();
+                let mut tracked: Vec<(Attr, u32)> = holding.iter().map(|a| (a, 0)).collect();
                 let mut dead = AttrSet::EMPTY;
                 for s in 0..enc.rows() {
                     scanned += 1;
-                    Self::weak_note_row(enc, stable, s, &mut tracked, &mut dead, refuted);
+                    weak_note_row(enc, s, &mut tracked, &mut dead);
                     if dead == holding {
                         break;
                     }
                 }
-                sqlnf_obs::count!("discovery.partition.rows_scanned", scanned);
-                return holding - dead;
-            }
-            let mut scanned = 0usize;
-            for s in 1..enc.rows() {
-                scanned += 1;
-                let mut still = AttrSet::EMPTY;
-                for a in holding {
-                    if enc.code(s, a) == enc.code(0, a) {
-                        still.insert(a);
-                    } else {
-                        refuted.push((a, stable[0], stable[s]));
+                holding = holding - dead;
+            } else {
+                for s in 1..enc.rows() {
+                    scanned += 1;
+                    holding = holding
+                        .iter()
+                        .filter(|&a| enc.code(s, a) == enc.code(0, a))
+                        .collect();
+                    if holding.is_empty() {
+                        break;
                     }
-                }
-                holding = still;
-                if holding.is_empty() {
-                    break;
                 }
             }
             sqlnf_obs::count!("discovery.partition.rows_scanned", scanned);
             return holding;
         }
         let mut scanned = delta.len();
-        let groups = Self::delta_groups(enc, delta, x, sem);
+        let groups = self.delta_groups(delta, x, sem);
         for (kv, group) in &groups {
             if holding.is_empty() {
                 break;
@@ -912,16 +696,15 @@ impl IncrementalMiner {
                 // codes per target agree; the r0-homogeneity shortcut
                 // below is unsound here (r0 may carry ⊥ on a target two
                 // partners disagree on non-null), so track the first
-                // non-null row per target across group and partners.
-                let mut tracked: Vec<(Attr, Option<usize>)> =
-                    holding.iter().map(|a| (a, None)).collect();
+                // non-null code per target across group and partners.
+                let mut tracked: Vec<(Attr, u32)> = holding.iter().map(|a| (a, 0)).collect();
                 let mut dead = AttrSet::EMPTY;
                 for &m in group {
-                    Self::weak_note_row(enc, stable, m, &mut tracked, &mut dead, refuted);
+                    weak_note_row(enc, m, &mut tracked, &mut dead);
                 }
                 if dead != holding {
-                    Self::for_each_partner(enc, postings, x, kv, r0, sem, &mut scanned, |s| {
-                        Self::weak_note_row(enc, stable, s, &mut tracked, &mut dead, refuted);
+                    self.for_each_partner(x, kv, r0, sem, &mut scanned, |s| {
+                        weak_note_row(enc, s, &mut tracked, &mut dead);
                         dead != holding
                     });
                 }
@@ -933,33 +716,18 @@ impl IncrementalMiner {
             // survivors are group-homogeneous, which lets the partner
             // scan below compare each row once against `r0` instead of
             // once per member.
-            let mut still = AttrSet::EMPTY;
-            for a in holding {
-                match group.iter().find(|&&m| enc.code(m, a) != enc.code(r0, a)) {
-                    Some(&m) => refuted.push((a, stable[r0], stable[m])),
-                    None => {
-                        still.insert(a);
-                    }
-                }
-            }
-            holding = still;
+            holding = holding
+                .iter()
+                .filter(|&a| group.iter().all(|&m| enc.code(m, a) == enc.code(r0, a)))
+                .collect();
             if holding.is_empty() {
                 break;
             }
-            Self::for_each_partner(enc, postings, x, kv, r0, sem, &mut scanned, |s| {
-                let mut still = AttrSet::EMPTY;
-                for a in holding {
-                    if enc.code(s, a) == enc.code(r0, a) {
-                        still.insert(a);
-                    } else {
-                        // `s` matched the group's projection but not
-                        // this target, so it is not a group member
-                        // (those agree on `a`) and `(r0, s)` is a
-                        // genuine violating pair.
-                        refuted.push((a, stable[r0], stable[s]));
-                    }
-                }
-                holding = still;
+            self.for_each_partner(x, kv, r0, sem, &mut scanned, |s| {
+                holding = holding
+                    .iter()
+                    .filter(|&a| enc.code(s, a) == enc.code(r0, a))
+                    .collect();
                 !holding.is_empty()
             });
         }
@@ -967,75 +735,26 @@ impl IncrementalMiner {
         holding
     }
 
-    /// The first delta-involved pair similar on `x` under `sem`, as
-    /// slot ids — the witness that kills a stale p-/c-key verdict.
-    /// `None` means the verdict survived the delta.
-    fn first_delta_pair(
-        enc: &Encoded,
-        postings: &[FastMap<u32, Vec<usize>>],
-        stable: &[RowId],
-        delta: &[usize],
-        x: AttrSet,
-        sem: Semantics,
-    ) -> Option<(RowId, RowId)> {
-        let mut witness = None;
-        Self::for_each_delta_pair(enc, postings, delta, x, sem, |r, s| {
-            witness = Some((stable[r], stable[s]));
-            false
-        });
-        witness
-    }
-
-    /// The first delta-involved weak pair of `x` that is *not*
-    /// syntactically equal on `x` — the witness that kills a stale
-    /// totality (`X →_w X`) verdict.
-    fn first_delta_reflexive_violation(
-        enc: &Encoded,
-        postings: &[FastMap<u32, Vec<usize>>],
-        stable: &[RowId],
-        delta: &[usize],
-        x: AttrSet,
-    ) -> Option<(RowId, RowId)> {
-        let mut witness = None;
-        Self::for_each_delta_pair(enc, postings, delta, x, Semantics::Certain, |r, s| {
-            if enc.equal_on(r, s, x) {
-                true
-            } else {
-                witness = Some((stable[r], stable[s]));
-                false
-            }
-        });
-        witness
-    }
-
     /// Replays the level-wise FD enumeration of [`crate::mine`] against
     /// the verdict cache. The walk — candidate order, target pruning,
     /// minimality bookkeeping — is the from-scratch serial one; only
     /// the per-candidate check is short-circuited by valid verdicts, so
     /// the returned FDs are identical to `mine_fds` over the same rows.
-    #[allow(clippy::too_many_arguments)]
     fn replay_fds(
-        slots: &[Option<Tuple>],
-        marks: &Marks<'_>,
-        log: &[(u64, RowId)],
+        &self,
         cache: &mut HashMap<AttrSet, FdVerdict>,
-        enc: &Encoded,
         ctx: &mut PartitionCtx<'_>,
-        probes: &ProbeCache,
-        stable: &[RowId],
-        postings: &[FastMap<u32, Vec<usize>>],
         sem: Semantics,
-        arity: usize,
         max_lhs: usize,
-        now: u64,
     ) -> Vec<MinedFd> {
+        let now = self.enc.rows();
+        let arity = self.postings.len(); // one posting map per column
         let attrs: Vec<Attr> = (0..arity).map(Attr::from).collect();
         let all: AttrSet = attrs.iter().copied().collect();
         let last_level = max_lhs.min(arity.saturating_sub(1));
         let mut minimal_for: Vec<Vec<AttrSet>> = vec![Vec::new(); arity];
         let mut found = Vec::new();
         let mut touched = 0usize;
-        let mut delta_memo: Option<(u64, Vec<usize>)> = None;
 
         for k in 0..=last_level {
             if k >= 2 {
@@ -1054,79 +773,32 @@ impl IncrementalMiner {
                 let v = cache.entry(x).or_default();
                 let mut holding = AttrSet::EMPTY;
                 let mut stale = AttrSet::EMPTY;
-                let mut stale_since = u64::MAX;
+                let mut stale_since = now;
                 let mut unknown = AttrSet::EMPTY;
-                for a in targets {
-                    if let Some(&(_, at)) = v.holding.iter().find(|&&(b, _)| b == a) {
-                        if marks.holding_valid(at, x | AttrSet::single(a)) {
-                            holding.insert(a);
-                            continue;
-                        }
-                        if marks.only_inserts_since(at, x | AttrSet::single(a)) {
-                            stale.insert(a);
+                for a in targets - v.refuted {
+                    match v.holding.iter().find(|&&(b, _)| b == a) {
+                        Some(&(_, at)) if at == now => holding.insert(a),
+                        Some(&(_, at)) => {
                             stale_since = stale_since.min(at);
-                            continue;
+                            stale.insert(a)
                         }
-                    }
-                    if let Some(&(_, r, s)) = v.refuted.iter().find(|&&(b, _, _)| b == a) {
-                        if Self::pair_violates_fd(slots, r, s, x, a, sem) {
-                            continue; // still refuted, witness intact
-                        }
-                    }
-                    unknown.insert(a);
+                        None => unknown.insert(a),
+                    };
                 }
                 if !stale.is_empty() {
-                    // Held before the delta, and only inserts happened
-                    // since: check the inserted rows' pairs instead of
-                    // rechecking the whole candidate.
+                    // Held over fewer rows: check the newer rows' pairs
+                    // instead of rechecking the whole candidate.
                     touched += 1;
-                    let delta =
-                        Self::delta_since_memo(log, slots, stable, stale_since, &mut delta_memo);
-                    let mut fresh = Vec::new();
-                    let survive = Self::delta_targets_surviving(
-                        enc, postings, stable, delta, x, stale, sem, &mut fresh,
-                    );
-                    for a in survive {
-                        holding.insert(a);
-                        if let Some(entry) = v.holding.iter_mut().find(|(b, _)| *b == a) {
-                            entry.1 = now;
-                        }
-                    }
-                    for (a, r, s) in fresh {
-                        v.holding.retain(|&(b, _)| b != a);
-                        v.refuted.retain(|&(b, _, _)| b != a);
-                        v.refuted.push((a, r, s));
-                    }
+                    let held = self.targets_surviving(stale_since..now, x, stale, sem);
+                    v.record(stale, held, now);
+                    holding |= held;
                 }
                 if !unknown.is_empty() {
                     touched += 1;
                     let p = ctx.partition(x);
-                    let held = fd_targets_holding_cached(enc, x, &p, unknown, sem, probes);
+                    let held = fd_targets_holding(self.enc, x, &p, unknown, sem, &self.probes);
+                    v.record(unknown, held, now);
                     holding |= held;
-                    let refuted = unknown - held;
-                    // Record fresh verdicts: held targets stamped at the
-                    // current epoch, refuted ones re-witnessed.
-                    for a in held {
-                        v.refuted.retain(|&(b, _, _)| b != a);
-                        match v.holding.iter_mut().find(|(b, _)| *b == a) {
-                            Some(entry) => entry.1 = now,
-                            None => v.holding.push((a, now)),
-                        }
-                    }
-                    if !refuted.is_empty() {
-                        v.refuted.retain(|&(b, _, _)| !refuted.contains(b));
-                        v.holding.retain(|&(b, _)| !refuted.contains(b));
-                        Self::find_fd_witnesses(
-                            enc,
-                            probes,
-                            stable,
-                            x,
-                            &p,
-                            refuted,
-                            sem,
-                            &mut v.refuted,
-                        );
-                    }
                 }
                 if !holding.is_empty() {
                     for a in holding {
@@ -1146,26 +818,16 @@ impl IncrementalMiner {
     /// Replays the level-wise key enumeration of [`crate::keys`]
     /// against the verdict cache; identical output to
     /// `mine_keys_budgeted` over the same rows.
-    #[allow(clippy::too_many_arguments)]
     fn replay_keys(
-        slots: &[Option<Tuple>],
-        marks: &Marks<'_>,
-        log: &[(u64, RowId)],
+        &self,
         cache: &mut HashMap<AttrSet, KeyVerdict>,
-        enc: &Encoded,
         ctx: &mut PartitionCtx<'_>,
-        probes: &ProbeCache,
-        stable: &[RowId],
-        postings: &[FastMap<u32, Vec<usize>>],
-        arity: usize,
         max_size: usize,
-        now: u64,
     ) -> MinedKeys {
-        let attrs: Vec<Attr> = (0..arity).map(Attr::from).collect();
+        let attrs: Vec<Attr> = (0..self.postings.len()).map(Attr::from).collect();
         let mut out = MinedKeys::default();
         let mut touched = 0usize;
-        let mut delta_memo: Option<(u64, Vec<usize>)> = None;
-        for k in 0..=max_size.min(arity) {
+        for k in 0..=max_size.min(attrs.len()) {
             if k >= 2 {
                 ctx.evict_below(k - 1);
             }
@@ -1175,21 +837,7 @@ impl IncrementalMiner {
                 if p_covered && c_covered {
                     continue;
                 }
-                let (p_is, c_is) = Self::key_status(
-                    slots,
-                    marks,
-                    log,
-                    cache,
-                    enc,
-                    ctx,
-                    probes,
-                    stable,
-                    postings,
-                    &mut delta_memo,
-                    x,
-                    now,
-                    &mut touched,
-                );
+                let (p_is, c_is) = self.key_status(cache, ctx, x, &mut touched);
                 if !p_covered && p_is {
                     out.pkeys.push(x);
                 }
@@ -1202,69 +850,23 @@ impl IncrementalMiner {
         out
     }
 
-    /// Cached p-key/c-key status of `x`, rechecking only what the delta
-    /// marks invalidated.
-    #[allow(clippy::too_many_arguments)]
+    /// Cached p-key/c-key status of `x`. A key dies only to a new
+    /// similar pair, so a stale verdict probes just the newer rows.
     fn key_status(
-        slots: &[Option<Tuple>],
-        marks: &Marks<'_>,
-        log: &[(u64, RowId)],
+        &self,
         cache: &mut HashMap<AttrSet, KeyVerdict>,
-        enc: &Encoded,
         ctx: &mut PartitionCtx<'_>,
-        probes: &ProbeCache,
-        stable: &[RowId],
-        postings: &[FastMap<u32, Vec<usize>>],
-        delta_memo: &mut Option<(u64, Vec<usize>)>,
         x: AttrSet,
-        now: u64,
         touched: &mut usize,
     ) -> (bool, bool) {
+        let now = self.enc.rows();
         let v = cache.entry(x).or_default();
-        let p_known = match v.p {
-            Some(Verdict::Holds(at)) if marks.holding_valid(at, x) => Some(true),
-            Some(Verdict::Holds(at)) if marks.only_inserts_since(at, x) => {
-                // A key dies only to a *new* similar pair; probe the
-                // inserted rows instead of rechecking the candidate.
-                *touched += 1;
-                let delta = Self::delta_since_memo(log, slots, stable, at, delta_memo);
-                match Self::first_delta_pair(enc, postings, stable, delta, x, Semantics::Possible) {
-                    None => {
-                        v.p = Some(Verdict::Holds(now));
-                        Some(true)
-                    }
-                    Some((r, s)) => {
-                        v.p = Some(Verdict::Fails(r, s));
-                        Some(false)
-                    }
-                }
-            }
-            Some(Verdict::Fails(r, s)) if Self::pair_violates_key(slots, r, s, x, false) => {
-                Some(false)
-            }
-            _ => None,
-        };
-        let c_known = match v.c {
-            Some(Verdict::Holds(at)) if marks.holding_valid(at, x) => Some(true),
-            Some(Verdict::Holds(at)) if marks.only_inserts_since(at, x) => {
-                *touched += 1;
-                let delta = Self::delta_since_memo(log, slots, stable, at, delta_memo);
-                match Self::first_delta_pair(enc, postings, stable, delta, x, Semantics::Certain) {
-                    None => {
-                        v.c = Some(Verdict::Holds(now));
-                        Some(true)
-                    }
-                    Some((r, s)) => {
-                        v.c = Some(Verdict::Fails(r, s));
-                        Some(false)
-                    }
-                }
-            }
-            Some(Verdict::Fails(r, s)) if Self::pair_violates_key(slots, r, s, x, true) => {
-                Some(false)
-            }
-            _ => None,
-        };
+        let p_known = settle(&mut v.p, now, touched, |delta| {
+            self.for_each_delta_pair(delta, x, Semantics::Possible, |_, _| false)
+        });
+        let c_known = settle(&mut v.c, now, touched, |delta| {
+            self.for_each_delta_pair(delta, x, Semantics::Certain, |_, _| false)
+        });
         if let (Some(p), Some(c)) = (p_known, c_known) {
             return (p, c);
         }
@@ -1272,453 +874,44 @@ impl IncrementalMiner {
         let strong = ctx.partition(x);
         let p_is = p_known.unwrap_or_else(|| {
             let holds = is_pkey(&strong);
-            v.p = Some(if holds {
-                Verdict::Holds(now)
-            } else {
-                let c = &strong.classes[0];
-                Verdict::Fails(stable[c[0] as usize], stable[c[1] as usize])
-            });
+            v.p = Some(Verdict::of(holds, now));
             holds
         });
-        let c_is = match c_known {
-            Some(c) => c,
-            None => {
-                // is_ckey with witness extraction: a strong pair is
-                // already a weak violation; else probe the weak pairs.
-                let mut witness: Option<(RowId, RowId)> = None;
-                if let Some(c) = strong.classes.first() {
-                    witness = Some((stable[c[0] as usize], stable[c[1] as usize]));
-                } else {
-                    probes.weak_pairs(enc, x, |r, s| {
-                        witness = Some((stable[r], stable[s]));
-                        false
-                    });
-                }
-                v.c = Some(match witness {
-                    None => Verdict::Holds(now),
-                    Some((r, s)) => Verdict::Fails(r, s),
-                });
-                witness.is_none()
-            }
-        };
+        let c_is = c_known.unwrap_or_else(|| {
+            let holds = is_ckey_cached(self.enc, &self.probes, x, &strong);
+            v.c = Some(Verdict::of(holds, now));
+            holds
+        });
         (p_is, c_is)
     }
 
-    /// Cached c-key check for classification (λ-FD and nn-ratio
-    /// eligibility); shares the key verdict cache.
-    #[allow(clippy::too_many_arguments)]
-    fn is_ckey_incr(
-        slots: &[Option<Tuple>],
-        marks: &Marks<'_>,
-        log: &[(u64, RowId)],
-        cache: &mut HashMap<AttrSet, KeyVerdict>,
-        enc: &Encoded,
-        ctx: &mut PartitionCtx<'_>,
-        probes: &ProbeCache,
-        stable: &[RowId],
-        postings: &[FastMap<u32, Vec<usize>>],
-        delta_memo: &mut Option<(u64, Vec<usize>)>,
+    /// Cached totality check `X →_w X` (Definition 9): no weakly
+    /// similar pair on `X` differs on it.
+    fn is_total(
+        &self,
+        cache: &mut HashMap<AttrSet, Option<Verdict>>,
         x: AttrSet,
-        now: u64,
         touched: &mut usize,
     ) -> bool {
-        Self::key_status(
-            slots, marks, log, cache, enc, ctx, probes, stable, postings, delta_memo, x, now,
-            touched,
-        )
-        .1
-    }
-
-    /// Cached totality check `X →_w X` (Definition 9).
-    #[allow(clippy::too_many_arguments)]
-    fn reflexive_incr(
-        slots: &[Option<Tuple>],
-        marks: &Marks<'_>,
-        log: &[(u64, RowId)],
-        cache: &mut HashMap<AttrSet, Verdict>,
-        enc: &Encoded,
-        probes: &ProbeCache,
-        stable: &[RowId],
-        postings: &[FastMap<u32, Vec<usize>>],
-        delta_memo: &mut Option<(u64, Vec<usize>)>,
-        x: AttrSet,
-        now: u64,
-        touched: &mut usize,
-    ) -> bool {
-        match cache.get(&x) {
-            Some(&Verdict::Holds(at)) if marks.holding_valid(at, x) => return true,
-            Some(&Verdict::Holds(at)) if marks.only_inserts_since(at, x) => {
-                *touched += 1;
-                let delta = Self::delta_since_memo(log, slots, stable, at, delta_memo);
-                return match Self::first_delta_reflexive_violation(enc, postings, stable, delta, x)
-                {
-                    None => {
-                        cache.insert(x, Verdict::Holds(now));
-                        true
-                    }
-                    Some((r, s)) => {
-                        cache.insert(x, Verdict::Fails(r, s));
-                        false
-                    }
-                };
-            }
-            Some(&Verdict::Fails(r, s)) if Self::pair_violates_reflexive(slots, r, s, x) => {
-                return false
-            }
-            _ => {}
-        }
-        *touched += 1;
-        let mut witness: Option<(RowId, RowId)> = None;
-        probes.weak_pairs(enc, x, |r, s| {
-            if enc.equal_on(r, s, x) {
-                true
-            } else {
-                witness = Some((stable[r], stable[s]));
-                false
-            }
+        let now = self.enc.rows();
+        let v = cache.entry(x).or_default();
+        let holds = settle(v, now, touched, |delta| {
+            self.for_each_delta_pair(delta, x, Semantics::Certain, |r, s| {
+                self.enc.equal_on(r, s, x)
+            })
+        })
+        .unwrap_or_else(|| {
+            *touched += 1;
+            certain_reflexive_holds_cached(self.enc, &self.probes, x)
         });
-        cache.insert(
-            x,
-            match witness {
-                None => Verdict::Holds(now),
-                Some((r, s)) => Verdict::Fails(r, s),
-            },
-        );
-        witness.is_none()
-    }
-
-    /// Mines the minimal FDs under `sem`, replaying the lattice against
-    /// the verdict cache. Byte-identical (content and order) to
-    /// `mine_fds` over [`IncrementalMiner::table`].
-    pub fn mine_fds(
-        &mut self,
-        sem: Semantics,
-        max_lhs: usize,
-        cache_budget: usize,
-    ) -> Vec<MinedFd> {
-        self.ensure_dense();
-        let dense = self.dense.as_ref().expect("just ensured");
-        let enc_snap = dense.encode(); // transient; dropped before the next delta
-        let (enc, stable) = (&enc_snap, &dense.stable);
-        let mut ctx = PartitionCtx::with_budget(enc, null_semantics(sem), cache_budget);
-        let probes = ProbeCache::new(enc);
-        let marks = Marks {
-            insert: self.last_insert,
-            delete: self.last_delete,
-            cols: &self.col_updated,
-        };
-        let now = self.epoch;
-        let fds = Self::replay_fds(
-            &self.slots,
-            &marks,
-            &self.insert_log,
-            &mut self.fd_cache[sem_index(sem)],
-            enc,
-            &mut ctx,
-            &probes,
-            stable,
-            &dense.postings,
-            sem,
-            self.schema.arity(),
-            max_lhs,
-            now,
-        );
-        self.note_frontier();
-        fds
-    }
-
-    /// Mines the minimal p-/c-keys; identical to `mine_keys_budgeted`
-    /// over [`IncrementalMiner::table`].
-    pub fn mine_keys(&mut self, max_size: usize, cache_budget: usize) -> MinedKeys {
-        self.ensure_dense();
-        let dense = self.dense.as_ref().expect("just ensured");
-        let enc_snap = dense.encode(); // transient; dropped before the next delta
-        let (enc, stable) = (&enc_snap, &dense.stable);
-        let mut ctx = PartitionCtx::with_budget(enc, NullSemantics::Strong, cache_budget);
-        let probes = ProbeCache::new(enc);
-        let marks = Marks {
-            insert: self.last_insert,
-            delete: self.last_delete,
-            cols: &self.col_updated,
-        };
-        let now = self.epoch;
-        let keys = Self::replay_keys(
-            &self.slots,
-            &marks,
-            &self.insert_log,
-            &mut self.key_cache,
-            enc,
-            &mut ctx,
-            &probes,
-            stable,
-            &dense.postings,
-            self.schema.arity(),
-            max_size,
-            now,
-        );
-        self.note_frontier();
-        keys
-    }
-
-    /// The classification + keys backing one `MINE` report — the
-    /// incremental mirror of `classify_table_budgeted` +
-    /// `mine_keys_budgeted`.
-    pub fn classify(&mut self, max_lhs: usize, cache_budget: usize) -> (Classification, MinedKeys) {
-        self.ensure_dense();
-        let dense = self.dense.as_ref().expect("just ensured");
-        let enc_snap = dense.encode(); // transient; dropped before the next delta
-        let (enc, stable) = (&enc_snap, &dense.stable);
-        // Materialized only if a projection ratio misses its memo —
-        // `projection_ratio` wants real rows, not codes.
-        let mut ratio_table: Option<Table> = None;
-        let null_free = enc.null_free_columns();
-        let now = self.epoch;
-        let probes = ProbeCache::new(enc);
-        let mut ctx = PartitionCtx::with_budget(enc, NullSemantics::Strong, cache_budget);
-        let mut touched = 0usize;
-        let mut delta_memo: Option<(u64, Vec<usize>)> = None;
-
-        let marks = Marks {
-            insert: self.last_insert,
-            delete: self.last_delete,
-            cols: &self.col_updated,
-        };
-        let possible = Self::replay_fds(
-            &self.slots,
-            &marks,
-            &self.insert_log,
-            &mut self.fd_cache[sem_index(Semantics::Possible)],
-            enc,
-            &mut ctx,
-            &probes,
-            stable,
-            &dense.postings,
-            Semantics::Possible,
-            self.schema.arity(),
-            max_lhs,
-            now,
-        );
-        let certain = Self::replay_fds(
-            &self.slots,
-            &marks,
-            &self.insert_log,
-            &mut self.fd_cache[sem_index(Semantics::Certain)],
-            enc,
-            &mut ctx,
-            &probes,
-            stable,
-            &dense.postings,
-            Semantics::Certain,
-            self.schema.arity(),
-            max_lhs,
-            now,
-        );
-
-        let mut out = Classification::default();
-        for fd in possible {
-            if fd.lhs.is_subset(null_free) {
-                let ckey = Self::is_ckey_incr(
-                    &self.slots,
-                    &marks,
-                    &self.insert_log,
-                    &mut self.key_cache,
-                    enc,
-                    &mut ctx,
-                    &probes,
-                    stable,
-                    &dense.postings,
-                    &mut delta_memo,
-                    fd.lhs,
-                    now,
-                    &mut touched,
-                );
-                if !ckey {
-                    let attrs = fd.lhs | fd.rhs;
-                    // Inline ratio memo (self is partially borrowed via
-                    // marks/caches above, so consult the map directly).
-                    let ratio = match self.ratio_cache.get(&attrs) {
-                        Some(&(ratio, at))
-                            if at >= marks.insert
-                                && at >= marks.delete
-                                && attrs.iter().all(|c| at >= marks.cols[c.index()]) =>
-                        {
-                            ratio
-                        }
-                        _ => {
-                            let table = ratio_table.get_or_insert_with(|| {
-                                Table::from_rows(
-                                    self.schema.clone(),
-                                    self.slots.iter().flatten().cloned(),
-                                )
-                            });
-                            let ratio = projection_ratio(table, attrs);
-                            self.ratio_cache.insert(attrs, (ratio, now));
-                            ratio
-                        }
-                    };
-                    out.nn_nonkey_ratios.push(ratio);
-                }
-                out.nn_fds.push(fd);
-            } else {
-                out.p_fds.push(fd);
-            }
-        }
-        for fd in certain {
-            if fd.lhs.is_subset(null_free) {
-                continue; // coincides with an nn-FD; counted there
-            }
-            let total = Self::reflexive_incr(
-                &self.slots,
-                &marks,
-                &self.insert_log,
-                &mut self.refl_cache,
-                enc,
-                &probes,
-                stable,
-                &dense.postings,
-                &mut delta_memo,
-                fd.lhs,
-                now,
-                &mut touched,
-            );
-            if total {
-                out.t_fds.push(fd.clone());
-                let ckey = Self::is_ckey_incr(
-                    &self.slots,
-                    &marks,
-                    &self.insert_log,
-                    &mut self.key_cache,
-                    enc,
-                    &mut ctx,
-                    &probes,
-                    stable,
-                    &dense.postings,
-                    &mut delta_memo,
-                    fd.lhs,
-                    now,
-                    &mut touched,
-                );
-                if !fd.rhs.is_empty() && !ckey {
-                    let attrs = fd.lhs | fd.rhs;
-                    let ratio = match self.ratio_cache.get(&attrs) {
-                        Some(&(ratio, at))
-                            if at >= marks.insert
-                                && at >= marks.delete
-                                && attrs.iter().all(|c| at >= marks.cols[c.index()]) =>
-                        {
-                            ratio
-                        }
-                        _ => {
-                            let table = ratio_table.get_or_insert_with(|| {
-                                Table::from_rows(
-                                    self.schema.clone(),
-                                    self.slots.iter().flatten().cloned(),
-                                )
-                            });
-                            let ratio = projection_ratio(table, attrs);
-                            self.ratio_cache.insert(attrs, (ratio, now));
-                            ratio
-                        }
-                    };
-                    out.lambda_fds.push(LambdaFd {
-                        lhs: fd.lhs,
-                        rhs: fd.rhs,
-                        relative_projection_size: ratio,
-                    });
-                }
-            }
-            out.c_fds.push(fd);
-        }
-
-        let keys = Self::replay_keys(
-            &self.slots,
-            &marks,
-            &self.insert_log,
-            &mut self.key_cache,
-            enc,
-            &mut ctx,
-            &probes,
-            stable,
-            &dense.postings,
-            self.schema.arity(),
-            max_lhs,
-            now,
-        );
-        sqlnf_obs::count!("discovery.incr.candidates_touched", touched);
-        self.note_frontier();
-        (out, keys)
-    }
-
-    /// The `MINE` report over the live rows, byte-identical to
-    /// [`mine_report`] over [`IncrementalMiner::table`]. When the
-    /// reconcile threshold is armed and tripped, also runs the full
-    /// from-scratch pipeline and asserts equivalence.
-    pub fn report(&mut self, name: &str, max_lhs: usize, cache_budget: usize) -> String {
-        let due = self
-            .reconcile_every
-            .is_some_and(|n| self.deltas_since_reconcile >= n);
-        if due {
-            return self.reconcile(name, max_lhs, cache_budget);
-        }
-        let (cls, keys) = self.classify(max_lhs, cache_budget);
-        render_report(name, self.live, &self.schema, max_lhs, &cls, &keys)
-    }
-
-    /// Full-pipeline audit: runs both the incremental replay and the
-    /// from-scratch mine, asserts they render the same report, resets
-    /// the reconcile counter, and returns the report. Panics on any
-    /// divergence — an incremental-state bug must never ship a wrong
-    /// answer silently.
-    pub fn reconcile(&mut self, name: &str, max_lhs: usize, cache_budget: usize) -> String {
-        sqlnf_obs::count!("discovery.incr.reconciles");
-        let (cls, keys) = self.classify(max_lhs, cache_budget);
-        let incr = render_report(name, self.live, &self.schema, max_lhs, &cls, &keys);
-        let full = crate::classify::mine_report(name, &self.table(), max_lhs, cache_budget);
-        assert_eq!(
-            incr, full,
-            "incremental reconcile mismatch on {name} after {} deltas",
-            self.epoch
-        );
-        self.deltas_since_reconcile = 0;
-        incr
-    }
-
-    /// Builds the warm dense view if an update/delete (or construction)
-    /// left it cold: the live rows are pushed straight into a fresh
-    /// [`ColumnStore`] in slot order — no intermediate [`Table`] — so
-    /// the codes are exactly what [`Encoded::new`] over
-    /// [`IncrementalMiner::table`] would see, and later appends keep
-    /// that equivalence (first-appearance codes either way).
-    fn ensure_dense(&mut self) {
-        if self.dense.is_none() {
-            let mut store = ColumnStore::new(self.schema.arity());
-            for t in self.slots.iter().flatten() {
-                store.push(t);
-            }
-            self.dense = Some(DenseView::build(store, self.stable_ids()));
-        }
-    }
-
-    fn stable_ids(&self) -> Vec<RowId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i))
-            .collect()
-    }
-
-    fn note_frontier(&self) {
-        let frontier: usize = self.fd_cache.iter().map(HashMap::len).sum::<usize>()
-            + self.key_cache.len()
-            + self.refl_cache.len();
-        sqlnf_obs::count_max!("discovery.incr.frontier_size", frontier);
+        *v = Some(Verdict::of(holds, now));
+        holds
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::mine_report;
     use crate::keys::mine_keys_budgeted;
     use crate::mine::{mine_fds, MinerConfig};
     use sqlnf_model::prelude::*;
@@ -1777,39 +970,18 @@ mod tests {
     }
 
     #[test]
-    fn deletes_can_unrefute() {
+    fn surviving_verdicts_are_restamped() {
         let mut m = IncrementalMiner::from_table(&sample());
         assert_matches_scratch(&mut m, 3);
-        // Deleting row 1 removes the (a,b) → c violation witness.
-        m.delete(1);
+        // A fresh key value breaks nothing that held.
+        m.insert(tuple![4i64, 40i64, "w"]);
         assert_matches_scratch(&mut m, 3);
-        // And deleting everything leaves the vacuous instance.
-        for r in [0, 2, 3] {
-            m.delete(r);
+        let now = m.len();
+        for cache in &m.fd_cache {
+            for v in cache.values() {
+                assert!(v.holding.iter().all(|&(_, at)| at == now));
+            }
         }
-        assert_matches_scratch(&mut m, 3);
-    }
-
-    #[test]
-    fn updates_touch_only_changed_columns() {
-        let mut m = IncrementalMiner::from_table(&sample());
-        assert_matches_scratch(&mut m, 3);
-        m.update(2, tuple![2i64, 10i64, null]); // b changed
-        assert_matches_scratch(&mut m, 3);
-        m.update(3, tuple![3i64, null, "x"]); // no-op update
-        assert_matches_scratch(&mut m, 3);
-        m.update(0, tuple![1i64, 10i64, null]); // c nulled
-        assert_matches_scratch(&mut m, 3);
-    }
-
-    #[test]
-    fn dead_slots_reject_mutation() {
-        let mut m = IncrementalMiner::from_table(&sample());
-        assert!(m.delete(1));
-        assert!(!m.delete(1));
-        assert!(!m.update(1, tuple![0i64, 0i64, "q"]));
-        assert!(!m.delete(99));
-        assert_eq!(m.len(), 3);
     }
 
     #[test]
@@ -1817,9 +989,9 @@ mod tests {
         let schema = TableSchema::new("e", ["a", "b"], &[]);
         let mut m = IncrementalMiner::new(schema);
         assert_matches_scratch(&mut m, 2);
-        let id = m.insert(tuple![1i64, 2i64]);
+        assert_eq!(m.insert(tuple![1i64, 2i64]), 0);
         assert_matches_scratch(&mut m, 2);
-        m.delete(id);
+        assert_eq!(m.insert(tuple![1i64, 3i64]), 1);
         assert_matches_scratch(&mut m, 2);
     }
 
@@ -1829,22 +1001,9 @@ mod tests {
         let mut m = IncrementalMiner::from_table(&sample()).with_reconcile_every(2);
         m.insert(tuple![5i64, 50i64, "w"]);
         let _ = m.report("r", 2, crate::cache::DEFAULT_CACHE_BUDGET); // 1 delta: no audit
+        assert_eq!(m.reconciled_at, 4);
         m.insert(tuple![6i64, 60i64, "v"]);
         let _ = m.report("r", 2, crate::cache::DEFAULT_CACHE_BUDGET); // 2 deltas: audit
-        assert_eq!(m.deltas_since_reconcile, 0);
-    }
-
-    #[test]
-    fn apply_mirrors_direct_calls() {
-        let mut m = IncrementalMiner::from_table(&sample());
-        let id = m
-            .apply(Delta::Insert(tuple![7i64, 70i64, "u"]))
-            .expect("insert returns id");
-        m.apply(Delta::Update {
-            row: id,
-            tuple: tuple![7i64, 71i64, "u"],
-        });
-        m.apply(Delta::Delete { row: 0 });
-        assert_matches_scratch(&mut m, 3);
+        assert_eq!(m.reconciled_at, m.len());
     }
 }

@@ -30,16 +30,15 @@ pub mod prelude {
     };
     pub use crate::cache::{PartitionCtx, DEFAULT_CACHE_BUDGET};
     pub use crate::check::{
-        certain_reflexive_holds, certain_reflexive_holds_cached, certain_reflexive_holds_with,
-        fd_holds, fd_targets_holding, fd_targets_holding_cached, is_ckey, is_ckey_cached,
-        is_ckey_with, is_pkey, is_weak_key, null_semantics, partition_for, probe_weak_pairs,
-        ProbeCache, ProbeIndex, Semantics,
+        certain_reflexive_holds_cached, fd_holds, fd_targets_holding, is_ckey_cached, is_pkey,
+        is_weak_key, null_semantics, partition_for, probe_weak_pairs, ProbeCache, ProbeIndex,
+        Semantics,
     };
     pub use crate::classify::{
         classify_table, classify_table_budgeted, mine_report, render_report,
         render_semantics_report, semantics_report, Classification, Counts, LambdaFd,
     };
-    pub use crate::incremental::{Delta, IncrementalMiner, RowId};
+    pub use crate::incremental::IncrementalMiner;
     pub use crate::keys::{mine_keys, mine_keys_budgeted, MinedKeys};
     pub use crate::mine::{mine_fds, MinedFd, MinerConfig, MiningResult};
     pub use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};

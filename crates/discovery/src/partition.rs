@@ -64,15 +64,9 @@ impl Encoded {
     /// at INSERT/UPDATE time in the storage layer; only the (cheap)
     /// build itself is counted here.
     pub fn new(table: &Table) -> Encoded {
-        Encoded::from_snapshot(table.snapshot())
-    }
-
-    /// Wraps an already-taken storage snapshot (e.g. the incremental
-    /// miner's dense view, which owns its own
-    /// [`sqlnf_model::column::ColumnStore`]).
-    pub fn from_snapshot(snap: sqlnf_model::column::ColumnSnapshot) -> Encoded {
         let _span = sqlnf_obs::span!("discovery.encode");
         sqlnf_obs::count!("discovery.encode.builds");
+        let snap = table.snapshot();
         Encoded {
             cols: snap.cols,
             dict_sizes: snap.dict_sizes,

@@ -236,6 +236,8 @@ impl StoredTable {
 
     /// Deletes a row (deletions can never introduce a violation of this
     /// constraint class); the indexes compact their row ids in place.
+    /// Deleting the last row leaves no higher id to compact, so rolling
+    /// back a refused multi-row INSERT from the tail costs no id walk.
     pub fn delete(&mut self, row: usize) -> Result<Tuple, EngineError> {
         if row >= self.data.len() {
             return Err(EngineError::NoSuchRow {
@@ -245,7 +247,9 @@ impl StoredTable {
         }
         let removed = self.data.remove_row(row);
         self.bank.remove(&removed, row);
-        self.bank.shift_down(row);
+        if row < self.data.len() {
+            self.bank.shift_down(row);
+        }
         Ok(removed)
     }
 }

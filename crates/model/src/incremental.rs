@@ -234,7 +234,9 @@ impl ConstraintIndex {
     /// delete).
     pub fn remove(&mut self, row: &Tuple, row_id: usize) {
         fn drop_id(ids: &mut Vec<usize>, row_id: usize) {
-            if let Some(at) = ids.iter().position(|&r| r == row_id) {
+            // From the back: the newest rows (a rolled-back INSERT's)
+            // sit at the end of their lists.
+            if let Some(at) = ids.iter().rposition(|&r| r == row_id) {
                 ids.swap_remove(at);
             }
         }

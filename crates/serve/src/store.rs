@@ -818,6 +818,27 @@ mod tests {
         store
             .with_table("purchase", |st| assert_eq!(st.data().len(), 0))
             .unwrap();
+        // Roll back behind admitted rows: the refused statement's rows
+        // are the tail, and the rows before them keep their ids.
+        store
+            .execute_sql("INSERT INTO purchase VALUES (1, 'X', 'A', 10), (2, 'Y', NULL, 5);")
+            .unwrap();
+        let refused = "INSERT INTO purchase VALUES (3, 'Z', 'B', 7), (4, 'W', NULL, 6), \
+                       (5, 'X', 'A', 11);";
+        assert!(store.execute_sql(refused).is_err());
+        store
+            .with_table("purchase", |st| assert_eq!(st.data().len(), 2))
+            .unwrap();
+        // The rolled-back rows left no trace in the indexes: their
+        // admitted prefix, re-priced so that it would conflict with any
+        // leftover, is admitted again.
+        store
+            .execute_sql("INSERT INTO purchase VALUES (3, 'Z', 'B', 8), (4, 'W', NULL, 9);")
+            .unwrap();
+        store
+            .with_table("purchase", |st| assert_eq!(st.data().len(), 4))
+            .unwrap();
+        assert!(store.satisfies_all_constraints());
     }
 
     #[test]

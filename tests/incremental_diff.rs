@@ -1,12 +1,14 @@
 //! Differential property for the incremental discovery engine: after
-//! every batch of random DML (inserts, updates, deletes), the
-//! incremental `MINE` output — FDs under all four semantics, keys,
-//! and the rendered report — byte-equals a from-scratch mine of the
-//! same rows, with the from-scratch side run at 1 and 4 threads (the
-//! PR 5 determinism contract makes those identical to each other, so
-//! the incremental replay must match both). On top of the per-semantics
-//! equality, every batch checks the cross-semantics lattice: each
-//! certain-mined FD has a weak-mined cover on a sub-LHS.
+//! every batch of random inserts (fresh rows, near-duplicates of
+//! existing rows, exact duplicates), the incremental `MINE` output —
+//! FDs under all four semantics, keys, and the rendered report —
+//! byte-equals a from-scratch mine of the same rows, with the
+//! from-scratch side run at 1 and 4 threads (the determinism contract
+//! makes those identical to each other, so the incremental replay must
+//! match both) and the incremental side at the default and a zero
+//! partition-cache budget. On top of the per-semantics equality, every
+//! batch checks the cross-semantics lattice: each certain-mined FD has
+//! a weak-mined cover on a sub-LHS.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,11 +37,29 @@ fn random_tuple(rng: &mut StdRng) -> Tuple {
     )
 }
 
+/// The next row of an insert trace, drawn from `rows` so far: half
+/// fresh random rows, the rest copies of an existing row — with one
+/// cell redrawn (it agrees with its source on most LHSs, so it refutes
+/// holding verdicts) or exact (it breaks every key).
+fn next_row(rng: &mut StdRng, rows: &[Tuple]) -> Tuple {
+    let op = rng.gen_range(0..10);
+    if op <= 4 || rows.is_empty() {
+        return random_tuple(rng);
+    }
+    let mut row = rows[rng.gen_range(0..rows.len())].clone();
+    if op <= 7 {
+        let c = Attr::from(rng.gen_range(0..COLS));
+        *row.get_mut(c) = random_tuple(rng).get(c).clone();
+    }
+    row
+}
+
 fn assert_incremental_matches(m: &mut IncrementalMiner, ctx: &str) {
     let table = m.table();
     let mut by_sem = Vec::with_capacity(Semantics::ALL.len());
     for sem in Semantics::ALL {
         let incr = m.mine_fds(sem, MAX_LHS, DEFAULT_CACHE_BUDGET);
+        assert_eq!(incr, m.mine_fds(sem, MAX_LHS, 0), "{ctx}: {sem:?} budget 0");
         for threads in [1, 4] {
             let scratch = mine_fds(
                 &table,
@@ -88,28 +108,14 @@ fn run_dml_trace(seed: u64, batches: usize, ops_per_batch: usize) {
         table.push(random_tuple(&mut rng));
     }
     let mut m = IncrementalMiner::from_table(&table);
-    let mut live: Vec<usize> = (0..table.len()).collect();
+    let mut rows = table.rows().to_vec();
     assert_incremental_matches(&mut m, &format!("seed {seed} cold"));
 
     for batch in 0..batches {
         for _ in 0..ops_per_batch {
-            match rng.gen_range(0..10) {
-                0..=4 => {
-                    live.push(m.insert(random_tuple(&mut rng)));
-                }
-                5..=7 if !live.is_empty() => {
-                    let row = live[rng.gen_range(0..live.len())];
-                    assert!(m.update(row, random_tuple(&mut rng)));
-                }
-                _ if !live.is_empty() => {
-                    let i = rng.gen_range(0..live.len());
-                    let row = live.swap_remove(i);
-                    assert!(m.delete(row));
-                }
-                _ => {
-                    live.push(m.insert(random_tuple(&mut rng)));
-                }
-            }
+            let row = next_row(&mut rng, &rows);
+            assert_eq!(m.insert(row.clone()), rows.len());
+            rows.push(row);
         }
         assert_incremental_matches(&mut m, &format!("seed {seed} batch {batch}"));
     }
@@ -133,17 +139,11 @@ fn reconcile_audits_never_diverge() {
         &[],
     );
     let mut m = IncrementalMiner::new(schema).with_reconcile_every(1);
-    let mut live = Vec::new();
+    let mut rows = Vec::new();
     for step in 0..30 {
-        if live.is_empty() || rng.gen_bool(0.6) {
-            live.push(m.insert(random_tuple(&mut rng)));
-        } else if rng.gen_bool(0.5) {
-            let row = live[rng.gen_range(0..live.len())];
-            m.update(row, random_tuple(&mut rng));
-        } else {
-            let i = rng.gen_range(0..live.len());
-            m.delete(live.swap_remove(i));
-        }
+        let row = next_row(&mut rng, &rows);
+        m.insert(row.clone());
+        rows.push(row);
         let _ = m.report("t", MAX_LHS, DEFAULT_CACHE_BUDGET);
         assert_eq!(m.deltas_applied(), step + 1);
     }
