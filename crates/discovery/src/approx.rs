@@ -145,6 +145,31 @@ pub fn ckey_error(enc: &Encoded, x: AttrSet) -> f64 {
 /// [`ckey_error`] against a caller-held strong-semantics
 /// [`PartitionCtx`].
 pub fn ckey_error_ctx(ctx: &mut PartitionCtx, x: AttrSet) -> f64 {
+    ckey_error_with(ctx, x, |enc, f| probe_weak_pairs(enc, x, f))
+}
+
+/// [`ckey_error_ctx`] probing weak pairs through a shared
+/// [`ProbeCache`] — for many-query callers. The greedy bound depends
+/// on pair *visit order*, and the cache's direct-scan path enumerates
+/// in a different (still deterministic) order than a fresh index, so
+/// the result may differ from [`ckey_error_ctx`]'s — both remain valid
+/// upper bounds on the true g₃, and they coincide whenever no row
+/// carries `⊥` in `X`.
+pub fn ckey_error_probed(ctx: &mut PartitionCtx, probes: &ProbeCache, x: AttrSet) -> f64 {
+    ckey_error_with(ctx, x, |enc, f| probes.weak_pairs(enc, x, f))
+}
+
+/// The visitor a weak-pair enumeration (a fresh index or a shared
+/// [`ProbeCache`]) calls on each pair; returning `false` stops it.
+type WeakPairs<'f> = dyn FnMut(usize, usize) -> bool + 'f;
+
+/// The one body of the c-key g₃ bound; `weak_pairs` fixes the pair
+/// visit order the greedy part depends on.
+fn ckey_error_with(
+    ctx: &mut PartitionCtx,
+    x: AttrSet,
+    weak_pairs: impl FnOnce(&Encoded, &mut WeakPairs) -> bool,
+) -> f64 {
     let enc = ctx.encoded();
     if enc.rows() == 0 {
         return 0.0;
@@ -161,41 +186,9 @@ pub fn ckey_error_ctx(ctx: &mut PartitionCtx, x: AttrSet) -> f64 {
     }
     // Weak pairs through nulls: greedily delete the null-bearing side
     // (it conflicts with everything weakly matching it).
-    probe_weak_pairs(enc, x, |r, s| {
+    weak_pairs(enc, &mut |r, s| {
         if !removed[r] && !removed[s] {
             // Prefer removing the row with ⊥ in X (it is the hub).
-            let victim = if enc.is_total_on(r, x) { s } else { r };
-            removed[victim] = true;
-            cost += 1;
-        }
-        true
-    });
-    cost as f64 / enc.rows() as f64
-}
-
-/// [`ckey_error_ctx`] probing weak pairs through a shared
-/// [`ProbeCache`] — for many-query callers. The greedy bound depends
-/// on pair *visit order*, and the cache's direct-scan path enumerates
-/// in a different (still deterministic) order than a fresh index, so
-/// the result may differ from [`ckey_error_ctx`]'s — both remain valid
-/// upper bounds on the true g₃, and they coincide whenever no row
-/// carries `⊥` in `X`.
-pub fn ckey_error_probed(ctx: &mut PartitionCtx, probes: &ProbeCache, x: AttrSet) -> f64 {
-    let enc = ctx.encoded();
-    if enc.rows() == 0 {
-        return 0.0;
-    }
-    let p = ctx.partition(x);
-    let mut removed: Vec<bool> = vec![false; enc.rows()];
-    let mut cost = 0usize;
-    for class in &p.classes {
-        for &r in &class[1..] {
-            removed[r as usize] = true;
-            cost += 1;
-        }
-    }
-    probes.weak_pairs(enc, x, |r, s| {
-        if !removed[r] && !removed[s] {
             let victim = if enc.is_total_on(r, x) { s } else { r };
             removed[victim] = true;
             cost += 1;
@@ -215,22 +208,7 @@ pub fn cfd_error(enc: &Encoded, x: AttrSet, a: Attr) -> f64 {
 /// [`cfd_error`] against a caller-held strong-semantics
 /// [`PartitionCtx`].
 pub fn cfd_error_ctx(ctx: &mut PartitionCtx, x: AttrSet, a: Attr) -> f64 {
-    let enc = ctx.encoded();
-    if enc.rows() == 0 {
-        return 0.0;
-    }
-    let p = ctx.partition(x);
-    let mut cost = group_repair_cost(enc, &p, a);
-    let mut removed: Vec<bool> = vec![false; enc.rows()];
-    probe_weak_pairs(enc, x, |r, s| {
-        if !removed[r] && !removed[s] && enc.code(r, a) != enc.code(s, a) {
-            let victim = if enc.is_total_on(r, x) { s } else { r };
-            removed[victim] = true;
-            cost += 1;
-        }
-        true
-    });
-    (cost as f64 / enc.rows() as f64).min(1.0)
+    cfd_error_with(ctx, x, a, |enc, f| probe_weak_pairs(enc, x, f))
 }
 
 /// [`cfd_error_ctx`] probing weak pairs through a shared
@@ -238,6 +216,17 @@ pub fn cfd_error_ctx(ctx: &mut PartitionCtx, x: AttrSet, a: Attr) -> f64 {
 /// the greedy bound may differ from the fresh-index one but is always
 /// a valid upper bound, exact when `X` carries no `⊥`.
 pub fn cfd_error_probed(ctx: &mut PartitionCtx, probes: &ProbeCache, x: AttrSet, a: Attr) -> f64 {
+    cfd_error_with(ctx, x, a, |enc, f| probes.weak_pairs(enc, x, f))
+}
+
+/// The one body of the c-FD g₃ bound; `weak_pairs` fixes the pair
+/// visit order the greedy part depends on.
+fn cfd_error_with(
+    ctx: &mut PartitionCtx,
+    x: AttrSet,
+    a: Attr,
+    weak_pairs: impl FnOnce(&Encoded, &mut WeakPairs) -> bool,
+) -> f64 {
     let enc = ctx.encoded();
     if enc.rows() == 0 {
         return 0.0;
@@ -245,7 +234,7 @@ pub fn cfd_error_probed(ctx: &mut PartitionCtx, probes: &ProbeCache, x: AttrSet,
     let p = ctx.partition(x);
     let mut cost = group_repair_cost(enc, &p, a);
     let mut removed: Vec<bool> = vec![false; enc.rows()];
-    probes.weak_pairs(enc, x, |r, s| {
+    weak_pairs(enc, &mut |r, s| {
         if !removed[r] && !removed[s] && enc.code(r, a) != enc.code(s, a) {
             let victim = if enc.is_total_on(r, x) { s } else { r };
             removed[victim] = true;
@@ -345,8 +334,63 @@ mod tests {
             .row(tuple![2i64, 30i64])
             .build();
         let e = enc(&t);
-        let err = cfd_error(&e, AttrSet::from_indices([0]), Attr(1));
-        assert!((err - 1.0 / 3.0).abs() < 1e-12);
+        let x = AttrSet::from_indices([0]);
+        let mut ctx = PartitionCtx::new(&e, NullSemantics::Strong);
+        let probes = ProbeCache::new(&e);
+        for err in [
+            cfd_error(&e, x, Attr(1)),
+            cfd_error_ctx(&mut ctx, x, Attr(1)),
+            cfd_error_probed(&mut ctx, &probes, x, Attr(1)),
+        ] {
+            assert!((err - 1.0 / 3.0).abs() < 1e-12, "{err}");
+        }
+        assert_probed_matches_ctx_without_lhs_nulls(&t);
+    }
+
+    #[test]
+    fn ckey_error_bounds_the_true_optimum() {
+        // The null row weakly matches both others; deleting it leaves a
+        // c-key: true g₃ = 1/3, and the greedy bound is exact here.
+        let t = TableBuilder::new("r", ["a", "b"], &[])
+            .row(tuple![1i64, 10i64])
+            .row(tuple![null, 20i64])
+            .row(tuple![2i64, 30i64])
+            .build();
+        let e = enc(&t);
+        let x = AttrSet::from_indices([0]);
+        let mut ctx = PartitionCtx::new(&e, NullSemantics::Strong);
+        let probes = ProbeCache::new(&e);
+        for err in [
+            ckey_error(&e, x),
+            ckey_error_ctx(&mut ctx, x),
+            ckey_error_probed(&mut ctx, &probes, x),
+        ] {
+            assert!((err - 1.0 / 3.0).abs() < 1e-12, "{err}");
+        }
+        assert_probed_matches_ctx_without_lhs_nulls(&t);
+    }
+
+    /// On every LHS without a `⊥`, the probed and fresh-index bounds
+    /// enumerate the same (empty) weak-pair set, so they must agree.
+    fn assert_probed_matches_ctx_without_lhs_nulls(t: &Table) {
+        let e = enc(t);
+        let mut ctx = PartitionCtx::new(&e, NullSemantics::Strong);
+        let probes = ProbeCache::new(&e);
+        let all = t.schema().attrs();
+        for x in all.subsets().filter(|&x| !e.has_nulls_on(x)) {
+            assert_eq!(
+                ckey_error_probed(&mut ctx, &probes, x),
+                ckey_error_ctx(&mut ctx, x),
+                "c-key {x:?}"
+            );
+            for a in all - x {
+                assert_eq!(
+                    cfd_error_probed(&mut ctx, &probes, x, a),
+                    cfd_error_ctx(&mut ctx, x, a),
+                    "c-FD {x:?} -> {a:?}"
+                );
+            }
+        }
     }
 
     #[test]

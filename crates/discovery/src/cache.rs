@@ -7,9 +7,9 @@
 //! per candidate — π_X for a level-`k` candidate is one linear sweep
 //! over two already-known partitions of level `k−1` and level 1. This
 //! module provides the single-threaded context used by everything
-//! outside the miner's worker pool ([`crate::approx`], [`crate::keys`],
-//! [`crate::classify`]); the miner itself shards an equivalent cache
-//! across its persistent workers (see [`crate::mine`]).
+//! outside the miner ([`crate::approx`], [`crate::keys`],
+//! [`crate::classify`]); the miner keeps its own per-level cache, which
+//! its workers read side by side (see [`crate::mine`]).
 //!
 //! The memo is byte-budgeted: entries are admitted until the budget is
 //! full and recomputed from the (always-resident) single-attribute

@@ -137,19 +137,68 @@ pub fn classify_table_encoded(
         Instant::now(),
     );
 
-    let mut out = Classification::default();
-    let mut ctx = PartitionCtx::with_budget(enc, NullSemantics::Strong, cache_budget);
     // One probe cache serves every post-mining key/reflexivity check:
     // LHSs sharing a nullable footprint reuse one index.
-    let probes = ProbeCache::new(enc);
+    let mut facts = ScratchFacts {
+        table,
+        enc,
+        ctx: PartitionCtx::with_budget(enc, NullSemantics::Strong, cache_budget),
+        probes: ProbeCache::new(enc),
+    };
+    split_mined(possible.fds, certain.fds, null_free, &mut facts)
+}
 
-    for fd in possible.fds {
+/// The three questions the nn/p/c/t/λ split asks about mined FDs.
+pub(crate) trait LhsFacts {
+    /// Whether `x` is a certain key of the instance.
+    fn is_ckey(&mut self, x: AttrSet) -> bool;
+    /// Whether `X →_w X` holds (Definition 9's totality).
+    fn is_total(&mut self, x: AttrSet) -> bool;
+    /// The relative projection size `|I[attrs]| / |I|`.
+    fn ratio(&mut self, attrs: AttrSet) -> f64;
+}
+
+/// [`LhsFacts`] computed from the instance: strong partitions from one
+/// [`PartitionCtx`] (possible and certain FDs share the strong
+/// grouping), weak pairs from one [`ProbeCache`], and projections.
+struct ScratchFacts<'a> {
+    table: &'a Table,
+    enc: &'a Encoded,
+    ctx: PartitionCtx<'a>,
+    probes: ProbeCache,
+}
+
+impl LhsFacts for ScratchFacts<'_> {
+    fn is_ckey(&mut self, x: AttrSet) -> bool {
+        let strong = self.ctx.partition(x);
+        is_ckey_cached(self.enc, &self.probes, x, &strong)
+    }
+
+    fn is_total(&mut self, x: AttrSet) -> bool {
+        certain_reflexive_holds_cached(self.enc, &self.probes, x)
+    }
+
+    fn ratio(&mut self, attrs: AttrSet) -> f64 {
+        projection_ratio(self.table, attrs)
+    }
+}
+
+/// Splits the minimal possible and certain FDs into the categories of
+/// [`Classification`], asking `facts` about their LHSs. The from-scratch
+/// classifier and the incremental engine ([`crate::incremental`]) both
+/// run this one branching, so their reports agree by construction.
+pub(crate) fn split_mined(
+    possible: Vec<MinedFd>,
+    certain: Vec<MinedFd>,
+    null_free: AttrSet,
+    facts: &mut impl LhsFacts,
+) -> Classification {
+    let mut out = Classification::default();
+    for fd in possible {
         if fd.lhs.is_subset(null_free) {
             // Figure 6's nn series additionally requires a non-key LHS.
-            let strong = ctx.partition(fd.lhs);
-            if !is_ckey_cached(enc, &probes, fd.lhs, &strong) {
-                out.nn_nonkey_ratios
-                    .push(projection_ratio(table, fd.lhs | fd.rhs));
+            if !facts.is_ckey(fd.lhs) {
+                out.nn_nonkey_ratios.push(facts.ratio(fd.lhs | fd.rhs));
             }
             out.nn_fds.push(fd);
         } else {
@@ -157,20 +206,17 @@ pub fn classify_table_encoded(
         }
     }
 
-    for fd in certain.fds {
+    for fd in certain {
         if fd.lhs.is_subset(null_free) {
             continue; // coincides with an nn-FD; counted there
         }
-        let total = certain_reflexive_holds_cached(enc, &probes, fd.lhs);
-        if total {
+        if facts.is_total(fd.lhs) {
             out.t_fds.push(fd.clone());
-            let strong = ctx.partition(fd.lhs);
-            let usable = !fd.rhs.is_empty() && !is_ckey_cached(enc, &probes, fd.lhs, &strong);
-            if usable {
+            if !fd.rhs.is_empty() && !facts.is_ckey(fd.lhs) {
                 out.lambda_fds.push(LambdaFd {
                     lhs: fd.lhs,
                     rhs: fd.rhs,
-                    relative_projection_size: projection_ratio(table, fd.lhs | fd.rhs),
+                    relative_projection_size: facts.ratio(fd.lhs | fd.rhs),
                 });
             }
         }

@@ -20,11 +20,13 @@
 //!   posting-list partner sweep, not a scan — then re-stamped or
 //!   refuted.
 //!
-//! Everything else (classification into nn/p/c/t/λ, key mining,
-//! projection ratios) replays the *exact* enumeration of the
-//! from-scratch path — same [`k_subsets`] order, same minimality
-//! bookkeeping, same checks on the cache misses — so the output is
-//! byte-identical to [`mine_report`] by construction, not by accident.
+//! Everything else runs the from-scratch code itself: the FD walk is
+//! [`crate::mine`]'s lattice (same candidate order, same minimality
+//! bookkeeping), the key walk is [`crate::keys`]'s, and the nn/p/c/t/λ
+//! split is [`crate::classify`]'s — this module only answers their
+//! per-candidate questions from the verdict cache, and cache misses run
+//! the from-scratch checks. So the output is byte-identical to
+//! [`mine_report`] by construction: there is one walk, not a copy.
 //! The differential tests in `tests/incremental_diff.rs` pin this
 //! across all four semantics and random insert traces.
 //!
@@ -41,9 +43,11 @@ use crate::check::{
     certain_reflexive_holds_cached, fd_targets_holding, is_ckey_cached, is_pkey, null_semantics,
     ProbeCache, Semantics,
 };
-use crate::classify::{mine_report, projection_ratio, render_report, Classification, LambdaFd};
-use crate::keys::MinedKeys;
-use crate::mine::{k_subsets, MinedFd};
+use crate::classify::{
+    mine_report, projection_ratio, render_report, split_mined, Classification, LhsFacts,
+};
+use crate::keys::{walk_keys, MinedKeys};
+use crate::mine::{Lattice, MinedFd};
 use crate::partition::{Encoded, NullSemantics};
 use sqlnf_model::attrs::{Attr, AttrSet};
 use sqlnf_model::schema::TableSchema;
@@ -304,7 +308,7 @@ impl IncrementalMiner {
         let enc = self.encode();
         let view = View::new(&enc, &self.postings);
         let mut ctx = PartitionCtx::with_budget(&enc, NullSemantics::Strong, cache_budget);
-        let keys = view.replay_keys(&mut self.key_cache, &mut ctx, max_size);
+        let keys = view.mine_keys(&mut self.key_cache, &mut ctx, max_size);
         self.note_frontier();
         keys
     }
@@ -317,7 +321,6 @@ impl IncrementalMiner {
         let view = View::new(&enc, &self.postings);
         let null_free = enc.null_free_columns();
         let mut ctx = PartitionCtx::with_budget(&enc, NullSemantics::Strong, cache_budget);
-        let mut touched = 0usize;
         let possible = view.replay_fds(
             &mut self.fd_cache[sem_index(Semantics::Possible)],
             &mut ctx,
@@ -330,50 +333,18 @@ impl IncrementalMiner {
             Semantics::Certain,
             max_lhs,
         );
-        // Memoized `projection_ratio` over the current rows.
-        let mut ratio = |attrs: AttrSet| match self.ratio_cache.get(&attrs) {
-            Some(&(ratio, at)) if at == self.table.len() => ratio,
-            _ => {
-                let ratio = projection_ratio(&self.table, attrs);
-                self.ratio_cache.insert(attrs, (ratio, self.table.len()));
-                ratio
-            }
+        let mut facts = CachedFacts {
+            view: &view,
+            ctx: &mut ctx,
+            key_cache: &mut self.key_cache,
+            refl_cache: &mut self.refl_cache,
+            ratio_cache: &mut self.ratio_cache,
+            table: &self.table,
+            touched: 0,
         };
-
-        let mut out = Classification::default();
-        for fd in possible {
-            if fd.lhs.is_subset(null_free) {
-                let (_, ckey) =
-                    view.key_status(&mut self.key_cache, &mut ctx, fd.lhs, &mut touched);
-                if !ckey {
-                    out.nn_nonkey_ratios.push(ratio(fd.lhs | fd.rhs));
-                }
-                out.nn_fds.push(fd);
-            } else {
-                out.p_fds.push(fd);
-            }
-        }
-        for fd in certain {
-            if fd.lhs.is_subset(null_free) {
-                continue; // coincides with an nn-FD; counted there
-            }
-            if view.is_total(&mut self.refl_cache, fd.lhs, &mut touched) {
-                out.t_fds.push(fd.clone());
-                let (_, ckey) =
-                    view.key_status(&mut self.key_cache, &mut ctx, fd.lhs, &mut touched);
-                if !fd.rhs.is_empty() && !ckey {
-                    out.lambda_fds.push(LambdaFd {
-                        lhs: fd.lhs,
-                        rhs: fd.rhs,
-                        relative_projection_size: ratio(fd.lhs | fd.rhs),
-                    });
-                }
-            }
-            out.c_fds.push(fd);
-        }
-
-        let keys = view.replay_keys(&mut self.key_cache, &mut ctx, max_lhs);
-        sqlnf_obs::count!("discovery.incr.candidates_touched", touched);
+        let out = split_mined(possible, certain, null_free, &mut facts);
+        sqlnf_obs::count!("discovery.incr.candidates_touched", facts.touched);
+        let keys = view.mine_keys(&mut self.key_cache, &mut ctx, max_lhs);
         self.note_frontier();
         (out, keys)
     }
@@ -427,6 +398,44 @@ struct View<'a> {
     enc: &'a Encoded,
     postings: &'a [FastMap<u32, Vec<usize>>],
     probes: ProbeCache,
+}
+
+/// [`LhsFacts`] answered from the verdict caches: a c-key or totality
+/// verdict is settled against the rows it has not seen, a projection
+/// ratio is recomputed only when rows arrived.
+struct CachedFacts<'v, 'a> {
+    view: &'v View<'a>,
+    ctx: &'v mut PartitionCtx<'a>,
+    key_cache: &'v mut HashMap<AttrSet, KeyVerdict>,
+    refl_cache: &'v mut HashMap<AttrSet, Option<Verdict>>,
+    ratio_cache: &'v mut HashMap<AttrSet, (f64, usize)>,
+    table: &'v Table,
+    touched: usize,
+}
+
+impl LhsFacts for CachedFacts<'_, '_> {
+    fn is_ckey(&mut self, x: AttrSet) -> bool {
+        let (_, ckey) = self
+            .view
+            .key_status(self.key_cache, self.ctx, x, &mut self.touched);
+        ckey
+    }
+
+    fn is_total(&mut self, x: AttrSet) -> bool {
+        self.view.is_total(self.refl_cache, x, &mut self.touched)
+    }
+
+    fn ratio(&mut self, attrs: AttrSet) -> f64 {
+        let rows = self.table.len();
+        match self.ratio_cache.get(&attrs) {
+            Some(&(ratio, at)) if at == rows => ratio,
+            _ => {
+                let ratio = projection_ratio(self.table, attrs);
+                self.ratio_cache.insert(attrs, (ratio, rows));
+                ratio
+            }
+        }
+    }
 }
 
 /// The code projection of row `row` onto `attrs`, written into `buf`.
@@ -735,11 +744,10 @@ impl<'a> View<'a> {
         holding
     }
 
-    /// Replays the level-wise FD enumeration of [`crate::mine`] against
-    /// the verdict cache. The walk — candidate order, target pruning,
-    /// minimality bookkeeping — is the from-scratch serial one; only
-    /// the per-candidate check is short-circuited by valid verdicts, so
-    /// the returned FDs are identical to `mine_fds` over the same rows.
+    /// Walks [`crate::mine`]'s FD lattice against the verdict cache:
+    /// only the per-candidate check is short-circuited by valid
+    /// verdicts, so the returned FDs are identical to `mine_fds` over
+    /// the same rows.
     fn replay_fds(
         &self,
         cache: &mut HashMap<AttrSet, FdVerdict>,
@@ -748,28 +756,15 @@ impl<'a> View<'a> {
         max_lhs: usize,
     ) -> Vec<MinedFd> {
         let now = self.enc.rows();
-        let arity = self.postings.len(); // one posting map per column
-        let attrs: Vec<Attr> = (0..arity).map(Attr::from).collect();
-        let all: AttrSet = attrs.iter().copied().collect();
-        let last_level = max_lhs.min(arity.saturating_sub(1));
-        let mut minimal_for: Vec<Vec<AttrSet>> = vec![Vec::new(); arity];
-        let mut found = Vec::new();
+        let mut lattice = Lattice::new(self.postings.len()); // one posting map per column
         let mut touched = 0usize;
 
-        for k in 0..=last_level {
+        for k in 0..=lattice.last_level(max_lhs) {
             if k >= 2 {
                 ctx.evict_below(k - 1);
             }
-            for x in k_subsets(&attrs, k) {
-                let mut targets = AttrSet::EMPTY;
-                for a in all - x {
-                    if !minimal_for[a.index()].iter().any(|y| y.is_subset(x)) {
-                        targets.insert(a);
-                    }
-                }
-                if targets.is_empty() {
-                    continue;
-                }
+            let (candidates, _) = lattice.candidates(k);
+            for (x, targets) in candidates {
                 let v = cache.entry(x).or_default();
                 let mut holding = AttrSet::EMPTY;
                 let mut stale = AttrSet::EMPTY;
@@ -800,54 +795,28 @@ impl<'a> View<'a> {
                     v.record(unknown, held, now);
                     holding |= held;
                 }
-                if !holding.is_empty() {
-                    for a in holding {
-                        minimal_for[a.index()].push(x);
-                    }
-                    found.push(MinedFd {
-                        lhs: x,
-                        rhs: holding,
-                    });
-                }
+                lattice.record(x, holding);
             }
         }
         sqlnf_obs::count!("discovery.incr.candidates_touched", touched);
-        found
+        lattice.into_fds()
     }
 
-    /// Replays the level-wise key enumeration of [`crate::keys`]
-    /// against the verdict cache; identical output to
-    /// `mine_keys_budgeted` over the same rows.
-    fn replay_keys(
+    /// Walks [`crate::keys`]'s key lattice with [`View::key_status`] as
+    /// the status source; identical output to `mine_keys_budgeted` over
+    /// the same rows.
+    fn mine_keys(
         &self,
         cache: &mut HashMap<AttrSet, KeyVerdict>,
         ctx: &mut PartitionCtx<'_>,
         max_size: usize,
     ) -> MinedKeys {
-        let attrs: Vec<Attr> = (0..self.postings.len()).map(Attr::from).collect();
-        let mut out = MinedKeys::default();
         let mut touched = 0usize;
-        for k in 0..=max_size.min(attrs.len()) {
-            if k >= 2 {
-                ctx.evict_below(k - 1);
-            }
-            for x in k_subsets(&attrs, k) {
-                let p_covered = out.pkeys.iter().any(|y| y.is_subset(x));
-                let c_covered = out.ckeys.iter().any(|y| y.is_subset(x));
-                if p_covered && c_covered {
-                    continue;
-                }
-                let (p_is, c_is) = self.key_status(cache, ctx, x, &mut touched);
-                if !p_covered && p_is {
-                    out.pkeys.push(x);
-                }
-                if !c_covered && c_is {
-                    out.ckeys.push(x);
-                }
-            }
-        }
+        let keys = walk_keys(ctx, self.postings.len(), max_size, |ctx, x, _, _| {
+            self.key_status(cache, ctx, x, &mut touched)
+        });
         sqlnf_obs::count!("discovery.incr.candidates_touched", touched);
-        out
+        keys
     }
 
     /// Cached p-key/c-key status of `x`. A key dies only to a new

@@ -15,6 +15,7 @@
 
 use crate::cache::{PartitionCtx, DEFAULT_CACHE_BUDGET};
 use crate::check::{is_ckey_cached, is_pkey, ProbeCache};
+use crate::mine::k_subsets;
 use crate::partition::{Encoded, NullSemantics};
 use sqlnf_model::attrs::{Attr, AttrSet};
 use sqlnf_model::table::Table;
@@ -27,35 +28,6 @@ pub struct MinedKeys {
     /// Subset-minimal certain keys (every c-key is also a p-key, but a
     /// *minimal* c-key need not be a minimal p-key).
     pub ckeys: Vec<AttrSet>,
-}
-
-fn k_subsets(attrs: &[Attr], k: usize) -> Vec<AttrSet> {
-    let n = attrs.len();
-    let mut out = Vec::new();
-    if k > n {
-        return out;
-    }
-    let mut idx: Vec<usize> = (0..k).collect();
-    loop {
-        out.push(idx.iter().map(|&i| attrs[i]).collect());
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if idx[i] != i + n - k {
-                break;
-            }
-            if i == 0 {
-                return out;
-            }
-        }
-        idx[i] += 1;
-        for j in i + 1..k {
-            idx[j] = idx[j - 1] + 1;
-        }
-    }
 }
 
 /// Mines the subset-minimal p-keys and c-keys with attribute sets of at
@@ -85,12 +57,34 @@ pub fn mine_keys_encoded(
     max_size: usize,
     cache_budget: usize,
 ) -> MinedKeys {
-    let attrs: Vec<Attr> = (0..arity).map(Attr::from).collect();
     let mut ctx = PartitionCtx::with_budget(enc, NullSemantics::Strong, cache_budget);
     // Candidates sharing a nullable footprint share one probe index.
     let probes = ProbeCache::new(enc);
-    let mut out = MinedKeys::default();
+    walk_keys(&mut ctx, arity, max_size, |ctx, x, need_p, need_c| {
+        let strong = ctx.partition(x);
+        (
+            need_p && is_pkey(&strong),
+            need_c && is_ckey_cached(enc, &probes, x, &strong),
+        )
+    })
+}
 
+/// The level-wise key walk every key miner shares: candidates in
+/// [`k_subsets`] order, level by level, skipping supersets of keys
+/// already found. `status(ctx, x, need_p, need_c)` answers whether `x`
+/// is a p-key and a c-key; only the answers asked for are used. The
+/// from-scratch miner answers from strong partitions and weak-pair
+/// probes, the incremental one ([`crate::incremental`]) from its
+/// verdict cache. `ctx` drops each level's partitions once the next
+/// level no longer needs them.
+pub(crate) fn walk_keys<'a>(
+    ctx: &mut PartitionCtx<'a>,
+    arity: usize,
+    max_size: usize,
+    mut status: impl FnMut(&mut PartitionCtx<'a>, AttrSet, bool, bool) -> (bool, bool),
+) -> MinedKeys {
+    let attrs: Vec<Attr> = (0..arity).map(Attr::from).collect();
+    let mut out = MinedKeys::default();
     for k in 0..=max_size.min(arity) {
         // Partitions of level k come from level k−1; anything older is
         // dead weight.
@@ -98,16 +92,16 @@ pub fn mine_keys_encoded(
             ctx.evict_below(k - 1);
         }
         for x in k_subsets(&attrs, k) {
-            let p_covered = out.pkeys.iter().any(|y| y.is_subset(x));
-            let c_covered = out.ckeys.iter().any(|y| y.is_subset(x));
-            if p_covered && c_covered {
+            let need_p = !out.pkeys.iter().any(|y| y.is_subset(x));
+            let need_c = !out.ckeys.iter().any(|y| y.is_subset(x));
+            if !need_p && !need_c {
                 continue;
             }
-            let strong = ctx.partition(x);
-            if !p_covered && is_pkey(&strong) {
+            let (p_is, c_is) = status(ctx, x, need_p, need_c);
+            if need_p && p_is {
                 out.pkeys.push(x);
             }
-            if !c_covered && is_ckey_cached(enc, &probes, x, &strong) {
+            if need_c && c_is {
                 out.ckeys.push(x);
             }
         }

@@ -26,22 +26,25 @@
 //! row, so refuted candidates — the vast majority at depth — cost a
 //! handful of row visits instead of a full sweep.
 //!
-//! With `threads > 1` the per-level fan-out runs on a *persistent*
-//! worker pool spawned once inside one `thread::scope`: each worker
-//! owns its scratch for the whole mining run and receives, per level,
-//! a shared [`Arc`] of the candidate slice plus an atomic cursor into
-//! a *cost-descending* visit order (LPT scheduling: per-candidate cost
-//! is the chosen prefix's `stripped_rows()`). Workers pull one
-//! candidate at a time, so an expensive straggler never pins a whole
-//! contiguous chunk to one thread the way equal-size chunking did.
-//! Every emitted FD and partition shard is tagged with its candidate
-//! index; the main thread sorts by index before merging, so results —
-//! and the cache contents under any byte budget — are byte-identical
-//! across thread counts (`parallel_equals_serial`). Certain-semantics
-//! workers share one [`ProbeCache`], so LHSs with the same nullable
-//! footprint reuse one probe index instead of rebuilding per
-//! candidate. Worker saturation is visible as the
-//! `discovery.mine.worker_busy_ns` timer.
+//! Every batch of independent work — the singles, the last level's
+//! needed prefixes, each lattice level's candidates — goes through one
+//! fan-out ([`fan_out`]). With one thread it runs inline. With more,
+//! scoped workers each borrow a product scratch kept for the whole run
+//! and pull items off a shared atomic cursor; a level's candidates are
+//! queued *most expensive first* (LPT scheduling: the cost is the
+//! stripped rows of the partition the candidate refines), so an
+//! expensive straggler never pins a whole contiguous chunk to one
+//! thread. Every result is tagged with its item index and merged back
+//! in index order, so results — and the cache contents under any byte
+//! budget — are byte-identical across thread counts
+//! (`parallel_equals_serial`). Certain-semantics workers share one
+//! [`ProbeCache`], so LHSs with the same nullable footprint reuse one
+//! probe index instead of rebuilding per candidate. Worker saturation
+//! is visible as the `discovery.mine.worker_busy_ns` timer.
+//!
+//! The lattice walk itself ([`Lattice`]: candidate order, target
+//! pruning, minimality bookkeeping) is shared with the incremental
+//! replay of [`crate::incremental`].
 
 use crate::cache::DEFAULT_CACHE_BUDGET;
 use crate::check::{
@@ -50,15 +53,14 @@ use crate::check::{
 use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};
 use sqlnf_model::attrs::{Attr, AttrSet};
 use sqlnf_model::table::Table;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A level parallelises once it has at least `max(PAR_MIN, threads)`
-/// candidates: below that the queue/channel round-trip costs more than
-/// the work. Wide-short tables (hepatitis: 15+ levels) have many short
+/// candidates: below that spawning the workers costs more than the
+/// work. Wide-short tables (hepatitis: 15+ levels) have many short
 /// levels, so this is deliberately low.
 const PAR_MIN: usize = 8;
 
@@ -157,9 +159,8 @@ impl MiningResult {
 }
 
 /// Generates all `k`-subsets of `attrs`, in the canonical
-/// combination order every level-wise pass in this crate shares (the
-/// incremental replay of [`crate::incremental`] relies on walking the
-/// exact same order as the from-scratch miner).
+/// combination order every level-wise walk in this crate shares (the
+/// FD [`Lattice`] and the key walk of [`crate::keys`]).
 pub(crate) fn k_subsets(attrs: &[Attr], k: usize) -> Vec<AttrSet> {
     let mut out = Vec::new();
     let n = attrs.len();
@@ -197,27 +198,206 @@ pub fn mine_fds(table: &Table, config: MinerConfig) -> MiningResult {
     mine_fds_encoded(&enc, table.schema().arity(), config, started)
 }
 
-/// A candidate partition: borrowed from the singles at level 1, owned
-/// (freshly producted) everywhere else.
-enum Part<'a> {
-    Ref(&'a Partition),
-    Own(Partition),
+/// The level-wise FD lattice shared by the from-scratch miner and the
+/// incremental replay ([`crate::incremental`]): per-level candidate and
+/// target generation in [`k_subsets`] order, and the minimal-LHS
+/// bookkeeping that prunes it.
+pub(crate) struct Lattice {
+    attrs: Vec<Attr>,
+    all: AttrSet,
+    /// `minimal_for[a]` = the minimal LHSs recorded for attribute `a`.
+    minimal_for: Vec<Vec<AttrSet>>,
+    found: Vec<MinedFd>,
 }
 
-impl Part<'_> {
-    fn get(&self) -> &Partition {
-        match self {
-            Part::Ref(p) => p,
-            Part::Own(p) => p,
+impl Lattice {
+    /// The lattice over `arity` attributes, with nothing recorded.
+    pub(crate) fn new(arity: usize) -> Lattice {
+        let attrs: Vec<Attr> = (0..arity).map(Attr::from).collect();
+        Lattice {
+            all: attrs.iter().copied().collect(),
+            minimal_for: vec![Vec::new(); arity],
+            found: Vec::new(),
+            attrs,
         }
+    }
+
+    /// The deepest level a walk capped at `max_lhs` visits: an LHS
+    /// needs an attribute outside it to determine.
+    pub(crate) fn last_level(&self, max_lhs: usize) -> usize {
+        max_lhs.min(self.attrs.len().saturating_sub(1))
+    }
+
+    /// Level `k`'s candidates, each with its targets — the attributes
+    /// outside it that no recorded minimal LHS inside it determines —
+    /// dropping candidates left with none; and how many `k`-subsets
+    /// were generated. Same-level candidates never cover each other, so
+    /// a level's records cannot change its own candidates.
+    pub(crate) fn candidates(&self, k: usize) -> (Vec<(AttrSet, AttrSet)>, usize) {
+        let generated = k_subsets(&self.attrs, k);
+        let count = generated.len();
+        let candidates = generated
+            .into_iter()
+            .filter_map(|x| {
+                let mut targets = AttrSet::EMPTY;
+                for a in self.all - x {
+                    if !self.minimal_for[a.index()].iter().any(|y| y.is_subset(x)) {
+                        targets.insert(a);
+                    }
+                }
+                (!targets.is_empty()).then_some((x, targets))
+            })
+            .collect();
+        (candidates, count)
+    }
+
+    /// Records that `lhs` minimally determines `holding` (nothing when
+    /// it is empty). Called in candidate order, so the mined FDs come
+    /// out in the walk's order.
+    pub(crate) fn record(&mut self, lhs: AttrSet, holding: AttrSet) {
+        if holding.is_empty() {
+            return;
+        }
+        for a in holding {
+            self.minimal_for[a.index()].push(lhs);
+        }
+        self.found.push(MinedFd { lhs, rhs: holding });
+    }
+
+    /// The recorded FDs, one per minimal LHS, in walk order.
+    pub(crate) fn into_fds(self) -> Vec<MinedFd> {
+        self.found
     }
 }
 
-/// Builds `π_x` for a level-`k` candidate from the previous level's
-/// cached partitions and the always-resident singles. Every immediate
-/// prefix of a live candidate was itself a live candidate one level
-/// down, so the prefix lookup fails only on budget eviction — then the
-/// partition is folded from the singles by repeated products.
+/// Items `0..n` in their own order.
+fn in_order(n: usize) -> Vec<u32> {
+    (0..n as u32).collect()
+}
+
+/// The scratch a batch of `items` fans out over: every worker's once
+/// the batch has at least `min` items — below that, spawning costs more
+/// than the work — else the first alone, which runs it inline.
+fn pool(scratch: &mut [ProductScratch], items: usize, min: usize) -> &mut [ProductScratch] {
+    let workers = if items >= min { scratch.len() } else { 1 };
+    &mut scratch[..workers]
+}
+
+/// The miner's one fan-out: runs `job(scratch, i)` for every item `i`
+/// of `order` (a permutation of `0..order.len()`) and returns the
+/// results indexed by item. With one scratch it runs inline and spawns
+/// nothing. Otherwise one scoped worker per scratch (at most one per
+/// item) pulls items off a shared atomic cursor in `order`'s sequence,
+/// so an expensive item queued first never pins a contiguous chunk to
+/// one thread; the index-tagged results are merged back into item
+/// order, so the output never depends on the worker count. Worker
+/// occupancy is timed under `discovery.mine.worker_busy_ns`.
+fn fan_out<T: Send>(
+    scratch: &mut [ProductScratch],
+    order: &[u32],
+    job: impl Fn(&mut ProductScratch, usize) -> T + Sync,
+) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(order.len(), || None);
+    let workers = scratch.len().min(order.len());
+    if workers <= 1 {
+        let _busy = sqlnf_obs::span!("discovery.mine.worker_busy_ns");
+        for &i in order {
+            slots[i as usize] = Some(job(&mut scratch[0], i as usize));
+        }
+    } else {
+        let cursor = AtomicUsize::new(0);
+        let (job, cursor) = (&job, &cursor);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = scratch[..workers]
+                .iter_mut()
+                .map(|scratch| {
+                    scope.spawn(move || {
+                        let _busy = sqlnf_obs::span!("discovery.mine.worker_busy_ns");
+                        let mut out = Vec::new();
+                        while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            out.push((i, job(scratch, i as usize)));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            for h in handles {
+                for (i, t) in h.join().expect("miner worker panicked") {
+                    slots[i as usize] = Some(t);
+                }
+            }
+        });
+    }
+    slots
+        .into_iter()
+        .map(|t| t.expect("every item runs exactly once"))
+        .collect()
+}
+
+/// The miner's one prefix rule: among `x`'s immediate prefixes held in
+/// `prev`, the one with the fewest stripped rows — a product sweeps
+/// exactly those, and a candidate containing a selective attribute has
+/// a tiny one — ties to the prefix omitting the smaller attribute.
+/// Returns the omitted attribute, the prefix and its cost; `None` when
+/// the budget evicted every prefix.
+fn cheapest_prefix(
+    x: AttrSet,
+    prev: &HashMap<AttrSet, Partition>,
+) -> Option<(Attr, &Partition, usize)> {
+    x.iter()
+        .filter_map(|a| {
+            let p = prev.get(&(x - AttrSet::single(a)))?;
+            Some((a, p, p.stripped_rows()))
+        })
+        .min_by_key(|&(_, _, cost)| cost)
+}
+
+/// The partition a level-`k` candidate (`k ≥ 2`) refines, and the
+/// attribute it refines by. Level 2 refines the smaller single (ties
+/// keep attribute order). Deeper levels take the [`cheapest_prefix`];
+/// when the budget evicted every prefix, one is folded from the
+/// always-resident singles — every attribute but the largest, smallest
+/// first — and refined by the largest.
+fn refinement<'p>(
+    enc: &Encoded,
+    ns: NullSemantics,
+    x: AttrSet,
+    k: usize,
+    singles: &'p [Partition],
+    prev: &'p HashMap<AttrSet, Partition>,
+    scratch: &mut ProductScratch,
+) -> (Cow<'p, Partition>, Attr) {
+    if k == 2 {
+        let mut it = x.iter();
+        let a = it.next().expect("level-2 candidate");
+        let b = it.next().expect("level-2 candidate");
+        return if singles[a.index()].stripped_rows() <= singles[b.index()].stripped_rows() {
+            (Cow::Borrowed(&singles[a.index()]), b)
+        } else {
+            (Cow::Borrowed(&singles[b.index()]), a)
+        };
+    }
+    if let Some((by, p, _)) = cheapest_prefix(x, prev) {
+        sqlnf_obs::count!("discovery.mine.prev_level.hits");
+        return (Cow::Borrowed(p), by);
+    }
+    sqlnf_obs::count!("discovery.mine.prev_level.misses");
+    let mut attrs: Vec<Attr> = x.iter().collect();
+    attrs.sort_by_key(|a| singles[a.index()].stripped_rows());
+    let by = attrs.pop().expect("level ≥ 3");
+    let (first, rest) = attrs.split_first().expect("level ≥ 3");
+    let mut prefix = Cow::Borrowed(&singles[first.index()]);
+    for &b in rest {
+        prefix = Cow::Owned(prefix.product_attr(enc, b, ns, scratch));
+    }
+    (prefix, by)
+}
+
+/// Builds `π_x` for a level-`k` candidate: borrowed from the singles at
+/// level 1, otherwise one product of its [`refinement`] — or, at level
+/// 2 over a small combined code space, one fused counting sort of both
+/// raw columns.
 fn candidate_partition<'a>(
     enc: &Encoded,
     ns: NullSemantics,
@@ -226,168 +406,32 @@ fn candidate_partition<'a>(
     singles: &'a [Partition],
     prev: &HashMap<AttrSet, Partition>,
     scratch: &mut ProductScratch,
-) -> Part<'a> {
+) -> Cow<'a, Partition> {
     match k {
-        0 => Part::Own(Partition::universal(enc.rows())),
-        1 => Part::Ref(&singles[x.first().expect("level-1 candidate").index()]),
-        2 => {
-            let mut it = x.iter();
-            let a = it.next().expect("level-2 candidate");
-            let b = it.next().expect("level-2 candidate");
-            // Small combined code space: one fused counting sort over
-            // both raw columns. Otherwise (a near-unique attribute in
-            // the pair) sweep the smaller of the two singles — which is
-            // then tiny. Ties keep attribute order; the result is
-            // canonical either way.
-            if Partition::by_pair_applicable(enc, a, b) {
-                return Part::Own(Partition::by_pair(enc, a, b, ns));
-            }
-            let (base, by) =
-                if singles[a.index()].stripped_rows() <= singles[b.index()].stripped_rows() {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-            Part::Own(singles[base.index()].product_attr(enc, by, ns, scratch))
-        }
+        0 => Cow::Owned(Partition::universal(enc.rows())),
+        1 => Cow::Borrowed(&singles[x.first().expect("level-1 candidate").index()]),
         _ => {
-            // Among the cached immediate prefixes, refine the cheapest
-            // one: a candidate containing a selective attribute has a
-            // tiny prefix partition, and the product cost is exactly
-            // the prefix's stripped rows.
-            let mut best: Option<(Attr, &Partition, usize)> = None;
-            for a in x {
-                if let Some(p) = prev.get(&(x - AttrSet::single(a))) {
-                    let cost = p.stripped_rows();
-                    if best.is_none_or(|(_, _, c)| cost < c) {
-                        best = Some((a, p, cost));
-                    }
+            if k == 2 {
+                let mut it = x.iter();
+                let a = it.next().expect("level-2 candidate");
+                let b = it.next().expect("level-2 candidate");
+                if Partition::by_pair_applicable(enc, a, b) {
+                    return Cow::Owned(Partition::by_pair(enc, a, b, ns));
                 }
             }
-            if let Some((a, p, _)) = best {
-                sqlnf_obs::count!("discovery.mine.prev_level.hits");
-                return Part::Own(p.product_attr(enc, a, ns, scratch));
-            }
-            sqlnf_obs::count!("discovery.mine.prev_level.misses");
-            // Every prefix was evicted: fold from the singles, smallest
-            // first, so the sweeps stay as cheap as possible.
-            let mut attrs: Vec<Attr> = x.iter().collect();
-            attrs.sort_by_key(|a| singles[a.index()].stripped_rows());
-            let mut it = attrs.into_iter();
-            let a = it.next().expect("non-empty");
-            let mut p = None;
-            for b in it {
-                let next = p
-                    .as_ref()
-                    .unwrap_or(&singles[a.index()])
-                    .product_attr(enc, b, ns, scratch);
-                p = Some(next);
-            }
-            Part::Own(p.expect("level ≥ 3"))
+            let (prefix, by) = refinement(enc, ns, x, k, singles, prev, scratch);
+            Cow::Owned(prefix.product_attr(enc, by, ns, scratch))
         }
     }
 }
 
-/// One level's worth of work for a persistent pool worker: the shared
-/// candidate slice, the cost-descending visit order, and the atomic
-/// cursor every worker pulls from.
-struct LevelJob {
-    k: usize,
-    candidates: Arc<Vec<(AttrSet, AttrSet)>>,
-    order: Arc<Vec<u32>>,
-    cursor: Arc<AtomicUsize>,
-    prev: Arc<HashMap<AttrSet, Partition>>,
-    store: bool,
-}
-
-/// What a worker sends back per level: FDs and partition shards, each
-/// tagged with the candidate index so the main thread can restore
-/// candidate order exactly regardless of which worker pulled what.
-/// Shard entries carry their precomputed cache size so the merge loop
-/// stays trivial.
-struct LevelOut {
-    fds: Vec<(u32, MinedFd)>,
-    shard: Vec<(u32, AttrSet, Partition, usize)>,
-}
-
-/// Check-only fast path for levels whose partitions are never stored:
-/// sweep the refinement of the cheapest available prefix fused with
-/// the constancy check ([`fd_targets_on_refinement`]), never
-/// materializing `π_x`. Falls back to folding a prefix from the
-/// singles when the budget evicted every cached one.
-#[allow(clippy::too_many_arguments)]
-fn check_candidate_fused(
-    enc: &Encoded,
-    sem: Semantics,
-    ns: NullSemantics,
-    x: AttrSet,
-    k: usize,
-    targets: AttrSet,
-    singles: &[Partition],
-    prev: &HashMap<AttrSet, Partition>,
-    scratch: &mut ProductScratch,
-    probes: &ProbeCache,
-) -> AttrSet {
-    if k == 2 {
-        let mut it = x.iter();
-        let a = it.next().expect("level-2 candidate");
-        let b = it.next().expect("level-2 candidate");
-        let (base, by) = if singles[a.index()].stripped_rows() <= singles[b.index()].stripped_rows()
-        {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        return fd_targets_on_refinement(
-            enc,
-            x,
-            &singles[base.index()],
-            by,
-            ns,
-            targets,
-            sem,
-            scratch,
-            probes,
-        );
-    }
-    let mut best: Option<(Attr, &Partition, usize)> = None;
-    for a in x {
-        if let Some(p) = prev.get(&(x - AttrSet::single(a))) {
-            let cost = p.stripped_rows();
-            if best.is_none_or(|(_, _, c)| cost < c) {
-                best = Some((a, p, cost));
-            }
-        }
-    }
-    if let Some((a, p, _)) = best {
-        sqlnf_obs::count!("discovery.mine.prev_level.hits");
-        return fd_targets_on_refinement(enc, x, p, a, ns, targets, sem, scratch, probes);
-    }
-    sqlnf_obs::count!("discovery.mine.prev_level.misses");
-    let mut attrs: Vec<Attr> = x.iter().collect();
-    attrs.sort_by_key(|a| singles[a.index()].stripped_rows());
-    let by = attrs.pop().expect("non-empty");
-    let mut it = attrs.into_iter();
-    let a = it.next().expect("level ≥ 3");
-    let mut p = None;
-    for b in it {
-        let next = p
-            .as_ref()
-            .unwrap_or(&singles[a.index()])
-            .product_attr(enc, b, ns, scratch);
-        p = Some(next);
-    }
-    let prefix = p.expect("level ≥ 3 folds at least one product");
-    fd_targets_on_refinement(enc, x, &prefix, by, ns, targets, sem, scratch, probes)
-}
-
-/// The deterministic visit order for one level: candidate indexes
-/// sorted by estimated check cost, most expensive first (LPT — longest
-/// processing time — scheduling), ties broken by candidate index. The
-/// estimate is what the check actually sweeps: the stripped rows of
-/// the prefix partition the candidate will refine, or a
-/// whole-table-sized pessimistic constant when every prefix was
-/// evicted and the partition must be folded from the singles.
+/// The parallel visit order for one level: candidate indexes sorted by
+/// estimated check cost, most expensive first (LPT — longest processing
+/// time — scheduling), ties broken by candidate index. The estimate is
+/// what the check actually sweeps: the stripped rows of the partition
+/// the candidate will refine, or a whole-table-sized pessimistic
+/// constant when every prefix was evicted and one must be folded from
+/// the singles.
 fn cost_order(
     candidates: &[(AttrSet, AttrSet)],
     k: usize,
@@ -395,7 +439,7 @@ fn cost_order(
     singles: &[Partition],
     prev: &HashMap<AttrSet, Partition>,
 ) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..candidates.len() as u32).collect();
+    let mut order = in_order(candidates.len());
     if k < 2 {
         return order;
     }
@@ -408,11 +452,7 @@ fn cost_order(
                     .min()
                     .unwrap_or(0)
             } else {
-                x.iter()
-                    .filter_map(|a| prev.get(&(x - AttrSet::single(a))))
-                    .map(|p| p.stripped_rows())
-                    .min()
-                    .unwrap_or_else(|| rows.saturating_mul(2))
+                cheapest_prefix(x, prev).map_or(rows.saturating_mul(2), |(_, _, cost)| cost)
             }
         })
         .collect();
@@ -424,12 +464,11 @@ fn cost_order(
 /// check-only: each candidate refines exactly one `(k−1)`-prefix, so
 /// only the *distinct* chosen prefixes are materialized — from the
 /// retained level-`(k−2)` cache, one product each. The choice rule is
-/// the cheapest **estimated** prefix (the minimum stripped size over
-/// its cached `(k−2)`-sub-partitions): prefix choice affects
-/// throughput only, never the refined result, so estimating instead of
-/// measuring is sound. Deterministic throughout — first-use order
-/// drives the byte-budget admission, ties break on the smallest
-/// omitted attribute.
+/// the cheapest **estimated** prefix (the cost of its own
+/// [`cheapest_prefix`]): prefix choice affects throughput only, never
+/// the refined result, so estimating instead of measuring is sound.
+/// Deterministic throughout — first-use order drives the byte-budget
+/// admission, ties break on the smallest omitted attribute.
 #[allow(clippy::too_many_arguments)]
 fn build_needed_prefixes(
     enc: &Encoded,
@@ -438,19 +477,11 @@ fn build_needed_prefixes(
     k: usize,
     singles: &[Partition],
     prev: &HashMap<AttrSet, Partition>,
-    threads: usize,
+    scratch: &mut [ProductScratch],
     budget: usize,
 ) -> HashMap<AttrSet, Partition> {
     let pessimistic = enc.rows().saturating_mul(2);
-    let est = |s: AttrSet| -> usize {
-        let mut e = pessimistic;
-        for b in s {
-            if let Some(p) = prev.get(&(s - AttrSet::single(b))) {
-                e = e.min(p.stripped_rows());
-            }
-        }
-        e
-    };
+    let est = |s: AttrSet| cheapest_prefix(s, prev).map_or(pessimistic, |(_, _, cost)| cost);
     let mut needed: Vec<AttrSet> = Vec::new();
     let mut seen: std::collections::HashSet<AttrSet> = std::collections::HashSet::new();
     for &(x, _) in candidates {
@@ -481,67 +512,10 @@ fn build_needed_prefixes(
         }
     }
     sqlnf_obs::count!("discovery.mine.lazy_prefix_builds", needed.len());
-    let own = |part: Part| match part {
-        Part::Own(p) => p,
-        Part::Ref(p) => p.clone(),
-    };
-    let built: Vec<Partition> = if threads > 1 && needed.len() >= PAR_MIN {
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Partition>> = Vec::new();
-        slots.resize_with(needed.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads.min(needed.len()))
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut scratch = ProductScratch::for_encoded(enc);
-                        let mut out = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= needed.len() {
-                                break;
-                            }
-                            let p = candidate_partition(
-                                enc,
-                                ns,
-                                needed[i],
-                                k - 1,
-                                singles,
-                                prev,
-                                &mut scratch,
-                            );
-                            out.push((i, own(p)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, p) in h.join().expect("prefix builder panicked") {
-                    slots[i] = Some(p);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|p| p.expect("every needed prefix built exactly once"))
-            .collect()
-    } else {
-        let mut scratch = ProductScratch::for_encoded(enc);
-        needed
-            .iter()
-            .map(|&s| {
-                own(candidate_partition(
-                    enc,
-                    ns,
-                    s,
-                    k - 1,
-                    singles,
-                    prev,
-                    &mut scratch,
-                ))
-            })
-            .collect()
-    };
+    let pool = pool(scratch, needed.len(), PAR_MIN);
+    let built = fan_out(pool, &in_order(needed.len()), |scratch, i| {
+        candidate_partition(enc, ns, needed[i], k - 1, singles, prev, scratch).into_owned()
+    });
     let mut map = HashMap::new();
     let mut bytes = 0usize;
     for (s, p) in needed.into_iter().zip(built) {
@@ -559,75 +533,6 @@ fn build_needed_prefixes(
     map
 }
 
-/// Drains the level's work queue from one thread: pulls candidate
-/// positions off the shared cursor until the order is exhausted,
-/// checking FDs and (when `store` is set) collecting owned partitions
-/// for the next level's cache. Both output streams are tagged with the
-/// candidate index. Also used by the serial path (with a trivial
-/// identity order), so serial and parallel runs share one code path.
-#[allow(clippy::too_many_arguments)]
-fn run_queue(
-    enc: &Encoded,
-    sem: Semantics,
-    ns: NullSemantics,
-    k: usize,
-    candidates: &[(AttrSet, AttrSet)],
-    order: &[u32],
-    cursor: &AtomicUsize,
-    singles: &[Partition],
-    prev: &HashMap<AttrSet, Partition>,
-    store: bool,
-    scratch: &mut ProductScratch,
-    probes: &ProbeCache,
-) -> LevelOut {
-    let _busy = sqlnf_obs::span!("discovery.mine.worker_busy_ns");
-    let mut fds = Vec::new();
-    let mut shard = Vec::new();
-    let mut processed = 0usize;
-    loop {
-        let pos = cursor.fetch_add(1, Ordering::Relaxed);
-        if pos >= order.len() {
-            break;
-        }
-        let i = order[pos];
-        let (x, targets) = candidates[i as usize];
-        processed += 1;
-        if !store && k >= 2 {
-            let holding =
-                check_candidate_fused(enc, sem, ns, x, k, targets, singles, prev, scratch, probes);
-            if !holding.is_empty() {
-                fds.push((
-                    i,
-                    MinedFd {
-                        lhs: x,
-                        rhs: holding,
-                    },
-                ));
-            }
-            continue;
-        }
-        let p = candidate_partition(enc, ns, x, k, singles, prev, scratch);
-        let holding = fd_targets_holding(enc, x, p.get(), targets, sem, probes);
-        if !holding.is_empty() {
-            fds.push((
-                i,
-                MinedFd {
-                    lhs: x,
-                    rhs: holding,
-                },
-            ));
-        }
-        if store {
-            if let Part::Own(p) = p {
-                let sz = p.approx_bytes() + std::mem::size_of::<AttrSet>();
-                shard.push((i, x, p, sz));
-            }
-        }
-    }
-    sqlnf_obs::count!("discovery.mine.worker_candidates", processed);
-    LevelOut { fds, shard }
-}
-
 /// Mines from a pre-encoded instance (lets callers share the encoding
 /// across several mining runs, as the discovery experiment does).
 pub fn mine_fds_encoded(
@@ -637,53 +542,25 @@ pub fn mine_fds_encoded(
     started: Instant,
 ) -> MiningResult {
     let _span = sqlnf_obs::span!("mine_fds");
-    let attrs: Vec<Attr> = (0..arity).map(Attr::from).collect();
-    let all: AttrSet = attrs.iter().copied().collect();
-    let last_level = config.max_lhs.min(arity.saturating_sub(1));
     let sem = config.semantics;
+    let ns = null_semantics(sem);
+    let mut lattice = Lattice::new(arity);
+    let last_level = lattice.last_level(config.max_lhs);
+
+    // One product scratch per worker, kept for the whole run; the first
+    // also serves every inline (serial) batch.
+    let mut scratch: Vec<ProductScratch> = (0..config.threads.max(1))
+        .map(|_| ProductScratch::for_encoded(enc))
+        .collect();
+    let threads = scratch.len();
 
     // The single-attribute partitions: always resident, the floor every
     // product chain bottoms out on. Each is an independent table sweep,
-    // so with threads they are built off a shared atomic cursor — on
-    // wide tables (hepatitis: 20 columns) this is the one serial stage
-    // whose cost rivals a whole lattice level.
-    let ns = null_semantics(sem);
-    let singles: Vec<Partition> = if config.threads > 1 && arity > 1 {
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Partition>> = Vec::new();
-        slots.resize_with(arity, || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..config.threads.min(arity))
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut built = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= arity {
-                                break;
-                            }
-                            built.push((i, Partition::by_attr(enc, Attr::from(i), ns)));
-                        }
-                        built
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, p) in h.join().expect("singles worker panicked") {
-                    slots[i] = Some(p);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|p| p.expect("every single built exactly once"))
-            .collect()
-    } else {
-        attrs
-            .iter()
-            .map(|&a| Partition::by_attr(enc, a, ns))
-            .collect()
-    };
+    // so they fan out too — on wide tables (hepatitis: 20 columns) this
+    // is the one stage whose cost rivals a whole lattice level.
+    let singles = fan_out(&mut scratch, &in_order(arity), |_, i| {
+        Partition::by_attr(enc, Attr::from(i), ns)
+    });
     let singles = &singles;
 
     // One probe cache for the whole run, shared by every worker:
@@ -692,174 +569,100 @@ pub fn mine_fds_encoded(
     let probes = ProbeCache::new(enc);
     let probes = &probes;
 
-    // minimal_lhs_for[a] = the minimal LHSs recorded for attribute a.
-    let mut minimal_for: Vec<Vec<AttrSet>> = vec![Vec::new(); arity];
-    let mut found: Vec<MinedFd> = Vec::new();
     let mut checked = 0usize;
+    let mut prev: HashMap<AttrSet, Partition> = HashMap::new();
+    for k in 0..=last_level {
+        sqlnf_obs::count!("discovery.mine.lattice_levels");
+        let (candidates, generated) = lattice.candidates(k);
+        checked += candidates.len();
+        sqlnf_obs::count!("discovery.mine.candidates_checked", candidates.len());
+        sqlnf_obs::count!(
+            "discovery.mine.candidates_pruned",
+            generated - candidates.len()
+        );
+        sqlnf_obs::trace!(
+            "mine level {k}: {} candidates ({} pruned)",
+            candidates.len(),
+            generated - candidates.len()
+        );
 
-    // One scope for the whole run: workers (spawned lazily at the first
-    // level big enough to parallelise) persist across levels, each
-    // owning its product scratch. Dropping the pool at scope end closes
-    // the job channels and lets the workers drain out.
-    std::thread::scope(|scope| {
-        let mut pool: Vec<(Sender<LevelJob>, Receiver<LevelOut>)> = Vec::new();
-        let mut prev: Arc<HashMap<AttrSet, Partition>> = Arc::new(HashMap::new());
-        let mut scratch = ProductScratch::for_encoded(enc);
-
-        for k in 0..=last_level {
-            sqlnf_obs::count!("discovery.mine.lattice_levels");
-            // Candidates of this level, with their uncovered targets.
-            let generated = k_subsets(&attrs, k);
-            let generated_count = generated.len();
-            let candidates: Vec<(AttrSet, AttrSet)> = generated
-                .into_iter()
-                .filter_map(|x| {
-                    let mut targets = AttrSet::EMPTY;
-                    for a in all - x {
-                        if !minimal_for[a.index()].iter().any(|y| y.is_subset(x)) {
-                            targets.insert(a);
-                        }
-                    }
-                    (!targets.is_empty()).then_some((x, targets))
-                })
-                .collect();
-            checked += candidates.len();
-            sqlnf_obs::count!("discovery.mine.candidates_checked", candidates.len());
-            sqlnf_obs::count!(
-                "discovery.mine.candidates_pruned",
-                generated_count - candidates.len()
-            );
-            sqlnf_obs::trace!(
-                "mine level {k}: {} candidates ({} pruned)",
-                candidates.len(),
-                generated_count - candidates.len()
-            );
-
-            // Keep this level's partitions only if the next level will
-            // consult them (level-2 candidates product the singles
-            // directly, so level-1 partitions are never stored). On a
-            // deep lattice the *pre-last* level is also check-only:
-            // each last-level candidate refines exactly one prefix
-            // partition, so the last level materializes only the
-            // distinct prefixes actually chosen (see
-            // [`build_needed_prefixes`]) instead of eagerly building
-            // every pre-last candidate's partition — on adult-shaped
-            // tables that eager build dominated the whole run.
-            let defer_prelast = last_level >= 4;
-            let store = k >= 2
-                && k < if defer_prelast {
-                    last_level - 1
-                } else {
-                    last_level
-                };
-            let level_prev: Arc<HashMap<AttrSet, Partition>> = if defer_prelast && k == last_level {
-                Arc::new(build_needed_prefixes(
-                    enc,
-                    ns,
-                    &candidates,
-                    k,
-                    singles,
-                    &prev,
-                    config.threads,
-                    config.cache_budget,
-                ))
+        // Keep this level's partitions only if the next level will
+        // consult them (level-2 candidates product the singles
+        // directly, so level-1 partitions are never stored). On a
+        // deep lattice the *pre-last* level is also check-only:
+        // each last-level candidate refines exactly one prefix
+        // partition, so the last level materializes only the
+        // distinct prefixes actually chosen (see
+        // [`build_needed_prefixes`]) instead of eagerly building
+        // every pre-last candidate's partition — on adult-shaped
+        // tables that eager build dominated the whole run.
+        let defer_prelast = last_level >= 4;
+        let store = k >= 2
+            && k < if defer_prelast {
+                last_level - 1
             } else {
-                Arc::clone(&prev)
+                last_level
             };
+        let needed;
+        let level_prev = if defer_prelast && k == last_level {
+            needed = build_needed_prefixes(
+                enc,
+                ns,
+                &candidates,
+                k,
+                singles,
+                &prev,
+                &mut scratch,
+                config.cache_budget,
+            );
+            &needed
+        } else {
+            &prev
+        };
 
-            let outs: Vec<LevelOut> = if config.threads > 1
-                && candidates.len() >= PAR_MIN.max(config.threads)
-            {
-                if pool.is_empty() {
-                    for _ in 0..config.threads {
-                        let (job_tx, job_rx) = channel::<LevelJob>();
-                        let (out_tx, out_rx) = channel::<LevelOut>();
-                        scope.spawn(move || {
-                            sqlnf_obs::count!("discovery.mine.worker_spawns");
-                            let mut scratch = ProductScratch::for_encoded(enc);
-                            for job in job_rx {
-                                let out = run_queue(
-                                    enc,
-                                    sem,
-                                    ns,
-                                    job.k,
-                                    &job.candidates,
-                                    &job.order,
-                                    &job.cursor,
-                                    singles,
-                                    &job.prev,
-                                    job.store,
-                                    &mut scratch,
-                                    probes,
-                                );
-                                if out_tx.send(out).is_err() {
-                                    break;
-                                }
-                            }
-                        });
-                        pool.push((job_tx, out_rx));
-                    }
+        // In parallel, the most expensive candidates go first.
+        let pool = pool(&mut scratch, candidates.len(), PAR_MIN.max(threads));
+        let order = if pool.len() > 1 {
+            cost_order(&candidates, k, enc.rows(), singles, level_prev)
+        } else {
+            in_order(candidates.len())
+        };
+        let checks = fan_out(pool, &order, |scratch, i| {
+            let (x, targets) = candidates[i];
+            if !store && k >= 2 {
+                // Check-only: sweep the refinement fused with the
+                // constancy check, never materializing `π_x`.
+                let (prefix, by) = refinement(enc, ns, x, k, singles, level_prev, scratch);
+                let holding = fd_targets_on_refinement(
+                    enc, x, &prefix, by, ns, targets, sem, scratch, probes,
+                );
+                return (holding, None);
+            }
+            let p = candidate_partition(enc, ns, x, k, singles, level_prev, scratch);
+            let holding = fd_targets_holding(enc, x, &p, targets, sem, probes);
+            let kept = match p {
+                Cow::Owned(p) if store => {
+                    let sz = p.approx_bytes() + std::mem::size_of::<AttrSet>();
+                    Some((p, sz))
                 }
-                // One shared queue: every worker pulls candidates
-                // (most expensive first) off the same cursor, so no
-                // thread idles while another drains a heavy chunk.
-                let order = Arc::new(cost_order(&candidates, k, enc.rows(), singles, &level_prev));
-                let candidates = Arc::new(candidates);
-                let cursor = Arc::new(AtomicUsize::new(0));
-                for (job_tx, _) in &pool {
-                    job_tx
-                        .send(LevelJob {
-                            k,
-                            candidates: Arc::clone(&candidates),
-                            order: Arc::clone(&order),
-                            cursor: Arc::clone(&cursor),
-                            prev: Arc::clone(&level_prev),
-                            store,
-                        })
-                        .expect("miner worker hung up");
-                }
-                pool.iter()
-                    .map(|(_, out_rx)| out_rx.recv().expect("miner worker panicked"))
-                    .collect()
-            } else {
-                let order: Vec<u32> = (0..candidates.len() as u32).collect();
-                let cursor = AtomicUsize::new(0);
-                vec![run_queue(
-                    enc,
-                    sem,
-                    ns,
-                    k,
-                    &candidates,
-                    &order,
-                    &cursor,
-                    singles,
-                    &level_prev,
-                    store,
-                    &mut scratch,
-                    probes,
-                )]
+                _ => None,
             };
+            (holding, kept)
+        });
 
-            // Retire the previous level when this one replaces it (a
-            // check-only pre-last level retains it — the last level
-            // still products from it), then merge this level — FDs and
-            // shards sorted back into candidate order first, so the
-            // result and the cache contents (budget admission
-            // included) never depend on which worker processed what.
-            if store && !prev.is_empty() {
-                sqlnf_obs::count!("discovery.mine.prev_level.evictions", prev.len());
-            }
-            let mut fds: Vec<(u32, MinedFd)> = Vec::new();
-            let mut shard: Vec<(u32, AttrSet, Partition, usize)> = Vec::new();
-            for out in outs {
-                fds.extend(out.fds);
-                shard.extend(out.shard);
-            }
-            fds.sort_by_key(|&(i, _)| i);
-            shard.sort_by_key(|s| s.0);
-            let mut next: HashMap<AttrSet, Partition> = HashMap::new();
-            let mut bytes = 0usize;
-            for (_, x, p, sz) in shard {
+        // Retire the previous level when this one replaces it (a
+        // check-only pre-last level retains it — the last level
+        // still products from it), then merge this level in candidate
+        // order, so the result and the cache contents (budget
+        // admission included) never depend on which worker processed
+        // what.
+        if store && !prev.is_empty() {
+            sqlnf_obs::count!("discovery.mine.prev_level.evictions", prev.len());
+        }
+        let mut next: HashMap<AttrSet, Partition> = HashMap::new();
+        let mut bytes = 0usize;
+        for (&(x, _), (holding, kept)) in candidates.iter().zip(checks) {
+            if let Some((p, sz)) = kept {
                 if bytes.saturating_add(sz) <= config.cache_budget {
                     bytes += sz;
                     next.insert(x, p);
@@ -867,23 +670,18 @@ pub fn mine_fds_encoded(
                     sqlnf_obs::count!("discovery.mine.prev_level.evictions");
                 }
             }
-            for (_, fd) in fds {
-                for a in fd.rhs {
-                    minimal_for[a.index()].push(fd.lhs);
-                }
-                found.push(fd);
-            }
-            if bytes > 0 {
-                sqlnf_obs::count_max!("discovery.mine.prev_level.bytes", bytes);
-            }
-            if store {
-                prev = Arc::new(next);
-            }
+            lattice.record(x, holding);
         }
-    });
+        if bytes > 0 {
+            sqlnf_obs::count_max!("discovery.mine.prev_level.bytes", bytes);
+        }
+        if store {
+            prev = next;
+        }
+    }
 
     MiningResult {
-        fds: found,
+        fds: lattice.into_fds(),
         elapsed: started.elapsed(),
         candidates_checked: checked,
     }
@@ -896,7 +694,7 @@ mod tests {
     use sqlnf_model::prelude::*;
 
     #[test]
-    fn k_subsets_counts() {
+    fn subset_enumeration_counts() {
         let attrs: Vec<Attr> = (0..5).map(Attr::from).collect();
         assert_eq!(k_subsets(&attrs, 0), vec![AttrSet::EMPTY]);
         assert_eq!(k_subsets(&attrs, 1).len(), 5);
@@ -1070,10 +868,16 @@ mod tests {
             Semantics::Certain,
             Semantics::Weak,
         ] {
-            for budget in [0, 4096, DEFAULT_CACHE_BUDGET] {
+            // LHS cap 4 also fans out the lazy pre-last prefixes.
+            for (max_lhs, budget) in [
+                (3, 0),
+                (3, 4096),
+                (3, DEFAULT_CACHE_BUDGET),
+                (4, DEFAULT_CACHE_BUDGET),
+            ] {
                 let config = |threads| {
                     MinerConfig::new(sem)
-                        .with_max_lhs(3)
+                        .with_max_lhs(max_lhs)
                         .with_cache_budget(budget)
                         .with_threads(threads)
                 };
@@ -1084,7 +888,7 @@ mod tests {
                     // merge restores exact candidate order.
                     assert_eq!(
                         serial.fds, parallel.fds,
-                        "{sem:?} budget={budget} threads={threads}"
+                        "{sem:?} max_lhs={max_lhs} budget={budget} threads={threads}"
                     );
                 }
             }

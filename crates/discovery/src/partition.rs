@@ -252,13 +252,11 @@ pub struct Partition {
     pub classes: Vec<Vec<u32>>,
 }
 
-/// Reusable scratch for [`Partition::product`] and
-/// [`Partition::product_attr`]: one `u32` probe table (keyed by row id
-/// for the binary product, by dictionary code for the attribute
-/// product) plus per-group slot buffers, owned by a thread (a miner
-/// worker, a [`crate::cache::PartitionCtx`]) and reused across every
-/// intersection it performs — the per-candidate `HashMap` allocations
-/// of the old refinement path are gone entirely.
+/// Reusable scratch for [`Partition::product_attr`] and
+/// [`Partition::for_each_refined_pair`]: one `u32` probe table keyed by
+/// dictionary code, owned by a thread (a miner worker, a
+/// [`crate::cache::PartitionCtx`]) and reused across every refinement
+/// it performs — no per-candidate `HashMap` allocations.
 ///
 /// The probe table is sized **once** — by [`ProductScratch::for_encoded`]
 /// at construction, or by one `ensure_probe` branch at the top of each
@@ -266,19 +264,15 @@ pub struct Partition {
 /// branch per row.
 #[derive(Debug, Default)]
 pub struct ProductScratch {
-    /// `probe[row]` = 1-based class id of `row` in the left partition
-    /// of the running product; `0` = row absent. Only the labels set by
-    /// a product are cleared afterwards, so reuse costs no wipe.
+    /// Per-code counts, then 1-based subclass ids, of the class being
+    /// refined; `0` = code absent. Only the labels a class set are
+    /// cleared afterwards, so reuse costs no wipe.
     probe: Vec<u32>,
-    /// Slot buffers per left class; capacity retained across products.
-    slots: Vec<Vec<u32>>,
-    /// Left-class ids touched while sweeping one right class.
+    /// Codes touched while sweeping one class.
     touched: Vec<u32>,
     /// `heads[id − 1]` = first row of subclass `id` during a fused
     /// [`Partition::for_each_refined_pair`] sweep. Overwritten on
-    /// relabel, so it needs no clearing — and the fused sweep never
-    /// dirties `slots`, which [`Partition::product_attr`] relies on
-    /// being empty.
+    /// relabel, so it needs no clearing.
     heads: Vec<u32>,
 }
 
@@ -290,11 +284,10 @@ impl ProductScratch {
     }
 
     /// Fresh scratch pre-sized for every kernel over `enc`: the probe
-    /// table covers both row ids (binary products) and dictionary
-    /// codes (attribute products) up front.
+    /// table covers every dictionary code up front.
     pub fn for_encoded(enc: &Encoded) -> ProductScratch {
         ProductScratch {
-            probe: vec![0; enc.rows().max(enc.max_code() as usize + 1)],
+            probe: vec![0; enc.max_code() as usize + 1],
             ..ProductScratch::default()
         }
     }
@@ -305,12 +298,6 @@ impl ProductScratch {
     fn ensure_probe(&mut self, needed: usize) {
         if self.probe.len() < needed {
             self.probe.resize(needed, 0);
-        }
-    }
-
-    fn ensure(&mut self, classes: usize) {
-        if self.slots.len() < classes {
-            self.slots.resize_with(classes, Vec::new);
         }
     }
 
@@ -521,83 +508,14 @@ impl Partition {
         self.refine_with(enc, a, sem, &mut scratch)
     }
 
-    /// TANE-style product `π_self · π_other` in one linear sweep over
-    /// the two stripped partitions, using a reusable probe table —
-    /// no per-class hashing, no allocation beyond the emitted classes.
-    ///
-    /// Correctness: two rows share a class of the product iff they
-    /// share a class in *both* inputs. Under either [`NullSemantics`]
-    /// this is exactly the stripped partition of the attribute-set
-    /// union (strong similarity drops null-bearing rows from both
-    /// sides; null-as-value keeps `⊥` as the code `0`), so
-    /// `π_X.product(π_Y) == Partition::by_set(enc, X ∪ Y)` — the
-    /// equality the `product_matches_by_set` property test pins down.
-    /// The result is canonical (sorted classes of sorted rows), so
-    /// `PartialEq` agreement with [`Partition::by_set`] is structural.
-    pub fn product(&self, other: &Partition, scratch: &mut ProductScratch) -> Partition {
-        sqlnf_obs::count!("discovery.partition.products");
-        scratch.ensure(self.classes.len());
-        let needed = self
-            .classes
-            .iter()
-            .chain(other.classes.iter())
-            .filter_map(|c| c.last())
-            .map(|&r| r as usize + 1)
-            .max()
-            .unwrap_or(0);
-        scratch.ensure_probe(needed);
-        let mut scanned = 0usize;
-        // Label every row of `self` with its class id (1-based; 0 =
-        // absent, i.e. stripped singleton or dropped null row).
-        for (i, class) in self.classes.iter().enumerate() {
-            scanned += class.len();
-            for &r in class {
-                scratch.label(r, i as u32 + 1);
-            }
-        }
-        let mut classes: Vec<Vec<u32>> = Vec::new();
-        for class in &other.classes {
-            scanned += class.len();
-            for &r in class {
-                let id = scratch.probe_label(r);
-                if id != 0 {
-                    let slot = &mut scratch.slots[id as usize - 1];
-                    if slot.is_empty() {
-                        scratch.touched.push(id - 1);
-                    }
-                    slot.push(r);
-                }
-            }
-            for &i in &scratch.touched {
-                let slot = &mut scratch.slots[i as usize];
-                if slot.len() >= 2 {
-                    classes.push(std::mem::take(slot));
-                } else {
-                    slot.clear();
-                }
-            }
-            scratch.touched.clear();
-        }
-        // Reset only the labels we set, keeping the probe table clean
-        // for the next product without an O(rows) wipe.
-        for class in &self.classes {
-            for &r in class {
-                scratch.clear_label(r);
-            }
-        }
-        sqlnf_obs::count!("discovery.partition.rows_scanned", scanned);
-        classes.sort_unstable_by_key(|c| c[0]);
-        Partition { classes }
-    }
-
     /// The product `π_self · π_{a}` in one sweep over `self`'s stripped
     /// classes, reading the dictionary codes of `a` directly instead of
     /// materializing (or even touching) the single-attribute partition.
     /// This is the miner's refinement step: its cost is proportional to
     /// the rows inside `self`'s classes — which shrink rapidly as the
     /// lattice level grows — not to the table. Same canonical result as
-    /// `product(&Partition::by_attr(enc, a, sem))` and as
-    /// [`Partition::refine_by`], without the per-class `HashMap`.
+    /// [`Partition::refine_by`] and as `Partition::by_set` of the
+    /// union, without the per-class `HashMap`.
     pub fn product_attr(
         &self,
         enc: &Encoded,
@@ -961,28 +879,6 @@ mod tests {
     }
 
     #[test]
-    fn product_matches_by_set() {
-        let t = sample();
-        let e = Encoded::new(&t);
-        let mut scratch = ProductScratch::for_encoded(&e);
-        let ab = AttrSet::from_indices([0, 1]);
-        for sem in [NullSemantics::Strong, NullSemantics::NullAsValue] {
-            let pa = Partition::by_attr(&e, Attr(0), sem);
-            let pb = Partition::by_attr(&e, Attr(1), sem);
-            assert_eq!(
-                pa.product(&pb, &mut scratch),
-                Partition::by_set(&e, ab, sem),
-                "{sem:?}"
-            );
-            // The universal partition is the product identity on
-            // stripped partitions.
-            let u = Partition::universal(e.rows());
-            assert_eq!(pa.product(&u, &mut scratch), pa, "{sem:?} right-id");
-            assert_eq!(u.product(&pa, &mut scratch), pa, "{sem:?} left-id");
-        }
-    }
-
-    #[test]
     fn by_pair_matches_by_set() {
         let t = sample();
         let e = Encoded::new(&t);
@@ -1029,10 +925,9 @@ mod tests {
 
     #[test]
     fn fused_sweep_leaves_scratch_clean_for_products() {
-        // Regression: the fused pair sweep must not dirty the slot
-        // buffers a later product on the SAME scratch relies on being
-        // empty (it once stored subclass heads there, corrupting the
-        // next product's classes).
+        // Regression: the fused pair sweep must leave the probe table
+        // clean for a later product on the SAME scratch (stale labels
+        // would corrupt the next product's classes).
         let t = sample();
         let e = Encoded::new(&t);
         let mut scratch = ProductScratch::for_encoded(&e);

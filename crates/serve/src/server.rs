@@ -263,7 +263,14 @@ fn handle_session(
                 let Some(req) = acc.push_line(complete.trim_end_matches(['\r', '\n'])) else {
                     continue;
                 };
-                sqlnf_obs::count!("serve.requests");
+                // Session verbs never reach `dispatch`, which counts
+                // every other request.
+                if matches!(
+                    req,
+                    Request::Quit | Request::Shutdown | Request::Watch { .. } | Request::Unwatch
+                ) {
+                    store.stats.requests.fetch_add(1, Ordering::Relaxed);
+                }
                 match req {
                     Request::Quit => {
                         settle(store, &mut writer, &mut staged, &mut pending)?;

@@ -92,6 +92,25 @@ fn metrics_and_trace_over_the_wire() {
     server.shutdown().expect("graceful shutdown");
 }
 
+/// The store's `requests` counter covers every verb, the session verbs
+/// (`WATCH`, `UNWATCH`) that never reach `dispatch` included.
+#[test]
+fn stats_requests_count_session_verbs() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    c.expect_ok("PING").expect("ping");
+    c.watch(Some("t")).expect("watch");
+    c.unwatch().expect("unwatch");
+    let stats = c.expect_ok("STATS").expect("stats");
+    assert!(
+        stats.lines.iter().any(|l| l == "requests 4"),
+        "{:?}",
+        stats.lines
+    );
+    c.quit().expect("quit");
+    server.shutdown().expect("graceful shutdown");
+}
+
 /// Graceful shutdown writes a snapshot; a restart from snapshot + WAL
 /// equals a restart from WAL alone (tested against the kill path above;
 /// here the snapshot path).

@@ -2,11 +2,9 @@
 //! must emit a valid JSON document whose counters reflect the work the
 //! subcommand actually did.
 //!
-//! Kept as its own integration binary: `run` resets the process-wide
-//! registry when a report is requested, which must not race with other
-//! tests of the crate.
+//! Each test runs the `sqlnf` binary as a child process, so its
+//! counters come from a registry no other test touches.
 
-use sqlnf::cli::run;
 use sqlnf_obs::json::{parse, JsonValue};
 use sqlnf_obs::ObsReport;
 
@@ -25,8 +23,18 @@ fn tempdir() -> std::path::PathBuf {
     dir
 }
 
-fn argv(parts: &[&str]) -> Vec<String> {
-    parts.iter().map(|s| s.to_string()).collect()
+/// Runs `sqlnf <args>` and returns its stdout, panicking on failure.
+fn run(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sqlnf"))
+        .args(args)
+        .output()
+        .expect("spawn sqlnf");
+    assert!(
+        out.status.success(),
+        "sqlnf {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
 
 fn counter(doc: &JsonValue, name: &str) -> u64 {
@@ -43,14 +51,13 @@ fn mine_stats_json_reports_lattice_and_partition_work() {
     let json_path = dir.join("mine_stats.json");
     std::fs::write(&csv_path, CSV).expect("write csv");
 
-    let out = run(&argv(&[
+    let out = run(&[
         "mine",
         &csv_path.display().to_string(),
         "2",
         "--stats-json",
         &json_path.display().to_string(),
-    ]))
-    .expect("mine runs");
+    ]);
     assert!(out.contains("minimal FDs"), "{out}");
 
     let text = std::fs::read_to_string(&json_path).expect("stats file written");
@@ -80,13 +87,12 @@ fn profile_stats_json_embeds_the_table_profile() {
     let json_path = dir.join("profile_stats.json");
     std::fs::write(&csv_path, CSV).expect("write csv");
 
-    let out = run(&argv(&[
+    let out = run(&[
         "profile",
         &csv_path.display().to_string(),
         "--stats-json",
         &json_path.display().to_string(),
-    ]))
-    .expect("profile runs");
+    ]);
     assert!(out.contains("profile_input"), "{out}");
 
     let text = std::fs::read_to_string(&json_path).expect("stats file written");
